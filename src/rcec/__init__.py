@@ -12,14 +12,10 @@ from .compdata import (
     CountMatrix,
     clr_transform,
     close_counts,
-    variation_from_cov,
 )
 from .mom import (
-    PartitionScheme,
     default_block_count,
-    median_of_means,
     mom_covariance,
-    regular_partition,
     sample_covariance,
 )
 from .threshold import ThresholdRule, apply_rule, entry_thresholds, threshold_matrix
@@ -31,7 +27,6 @@ from .tuning import (
     estimate_from_latent,
     lambda_grid,
     make_folds,
-    pd_floor,
 )
 from .metrics import (
     SupportMetrics,
@@ -67,12 +62,8 @@ __all__ = [
     "CountMatrix",
     "clr_transform",
     "close_counts",
-    "variation_from_cov",
-    "PartitionScheme",
     "default_block_count",
-    "median_of_means",
     "mom_covariance",
-    "regular_partition",
     "sample_covariance",
     "ThresholdRule",
     "apply_rule",
@@ -85,7 +76,6 @@ __all__ = [
     "estimate_from_latent",
     "lambda_grid",
     "make_folds",
-    "pd_floor",
     "SupportMetrics",
     "clr_proxy_gap",
     "frobenius_loss",

@@ -19,6 +19,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -48,10 +49,6 @@ class UsageError(Exception):
     """Bad arguments or malformed input formats (exit code 2)."""
 
 
-def _fail_usage(message: str) -> "UsageError":
-    return UsageError(message)
-
-
 # ---------------------------------------------------------------------------
 # input/output helpers
 
@@ -65,25 +62,25 @@ def read_table(path: str):
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise _fail_usage(f"cannot read {path}: {exc}") from None
+        raise UsageError(f"cannot read {path}: {exc}") from None
     rows = list(csv.reader(io.StringIO(text)))
     if len(rows) < 2:
-        raise _fail_usage(f"{path}: expected a header row and at least one data row")
+        raise UsageError(f"{path}: expected a header row and at least one data row")
     taxa = [cell.strip() for cell in rows[0]]
     p = len(taxa)
     if p < 2:
-        raise _fail_usage(f"{path}: need at least 2 columns, found {p}")
+        raise UsageError(f"{path}: need at least 2 columns, found {p}")
     data = np.empty((len(rows) - 1, p))
     for r, row in enumerate(rows[1:], start=2):
         if len(row) != p:
-            raise _fail_usage(
+            raise UsageError(
                 f"{path}: line {r}: expected {p} fields, found {len(row)}"
             )
         for c, cell in enumerate(row):
             try:
                 data[r - 2, c] = float(cell)
             except ValueError:
-                raise _fail_usage(
+                raise UsageError(
                     f"{path}: line {r}, column {c + 1}: not a number: {cell!r}"
                 ) from None
     return taxa, data
@@ -200,26 +197,10 @@ def build_config(args) -> EstimatorConfig:
         if args.seed is not None:
             updates["seed"] = args.seed
         if updates:
-            from dataclasses import replace
-
             config = replace(config, **updates)
         return config
     except ValueError as exc:
-        raise _fail_usage(f"bad configuration: {exc}") from None
-
-
-def _config_payload(config: EstimatorConfig) -> dict:
-    return {
-        "estimator": config.estimator,
-        "rule": config.rule.spec(),
-        "folds": config.folds,
-        "grid_size": config.grid_size,
-        "L": config.L,
-        "enforce_pd": config.enforce_pd,
-        "threshold_diagonal": config.threshold_diagonal,
-        "seed": config.seed,
-        "block_count": config.block_count,
-    }
+        raise UsageError(f"bad configuration: {exc}") from None
 
 
 def _load_composition(args) -> tuple:
@@ -259,7 +240,7 @@ def cmd_estimate(args) -> int:
             "input": args.input,
             "n": x.n,
             "p": x.p,
-            "config": _config_payload(config),
+            "config": config.to_dict(),
             "block_count": result.block_count,
             "lambda_star": result.lambda_star,
             "min_eigenvalue": result.min_eig,
@@ -306,9 +287,9 @@ def _parse_int_list(text: str, what: str) -> tuple:
     try:
         values = tuple(int(part) for part in text.split(",") if part.strip() != "")
     except ValueError:
-        raise _fail_usage(f"bad {what} list {text!r}; expected comma-separated integers") from None
+        raise UsageError(f"bad {what} list {text!r}; expected comma-separated integers") from None
     if not values:
-        raise _fail_usage(f"{what} list is empty")
+        raise UsageError(f"{what} list is empty")
     return values
 
 
@@ -316,12 +297,12 @@ def cmd_benchmark(args) -> int:
     cases = _parse_int_list(args.cases, "case")
     for case in cases:
         if case not in CASES:
-            raise _fail_usage(f"unknown case {case}; expected one of {sorted(CASES)}")
+            raise UsageError(f"unknown case {case}; expected one of {sorted(CASES)}")
     p_values = _parse_int_list(args.p, "dimension")
     estimators = tuple(part.strip() for part in args.estimators.split(",") if part.strip())
     for arm in estimators:
         if arm not in BENCH_ESTIMATORS:
-            raise _fail_usage(
+            raise UsageError(
                 f"unknown estimator {arm!r}; expected from {','.join(BENCH_ESTIMATORS)}"
             )
     config = build_config(args)
@@ -335,7 +316,7 @@ def cmd_benchmark(args) -> int:
             seed=config.seed,
         )
     except ValueError as exc:
-        raise _fail_usage(str(exc)) from None
+        raise UsageError(str(exc)) from None
     records = run_benchmark(spec, config)
     rows = summarize(records, spec)
     outdir = Path(args.out)
@@ -351,9 +332,9 @@ def cmd_stability(args) -> int:
     taxa, x = _load_composition(args)
     config = build_config(args)
     if args.bootstrap < 1:
-        raise _fail_usage(f"--bootstrap must be >= 1, got {args.bootstrap}")
+        raise UsageError(f"--bootstrap must be >= 1, got {args.bootstrap}")
     if args.retain < 0:
-        raise _fail_usage(f"--retain must be >= 0, got {args.retain}")
+        raise UsageError(f"--retain must be >= 0, got {args.retain}")
     result = bootstrap_stability(
         x,
         config,
@@ -383,7 +364,7 @@ def cmd_stability(args) -> int:
             "lambda_star": result.lambda_star,
             "n": x.n,
             "p": x.p,
-            "config": _config_payload(config),
+            "config": config.to_dict(),
         },
     }
     out = Path(args.out)

@@ -24,37 +24,42 @@ CLR_ROW_SUM_TOL = 1e-8
 DEFAULT_ZERO_REPLACEMENT = 0.5
 
 
-def _as_data_matrix(values, what: str) -> np.ndarray:
+def _as_matrix(
+    values, what: str, *, square: bool = False, min_rows: int = 0, min_cols: int = 0
+) -> np.ndarray:
+    """The package's one input check: a finite 2-d float64 array.
+
+    Accepts array_likes and the containers below (their ``values``).
+    ``square`` asks for a p x p matrix; ``min_rows`` and ``min_cols`` bound
+    the sample and component counts.
+    """
+    if isinstance(values, _Table):
+        values = values.values
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"{what} must be a 2-d array, got ndim={arr.ndim}")
     n, p = arr.shape
-    if n < 2:
-        raise ValueError(f"{what} needs at least 2 samples, got n={n}")
-    if p < 2:
-        raise ValueError(f"{what} needs at least 2 components, got p={p}")
-    if not np.all(np.isfinite(arr)):
+    if square and n != p:
+        raise ValueError(f"{what} must be square, got shape {arr.shape}")
+    if n < min_rows:
+        raise ValueError(f"{what} needs at least {min_rows} samples, got n={n}")
+    if p < min_cols:
+        raise ValueError(f"{what} needs at least {min_cols} components, got p={p}")
+    if not np.isfinite(arr).all():
         raise ValueError(f"{what} contains non-finite entries")
     return arr
 
 
 @dataclass(frozen=True)
-class CountMatrix:
-    """Nonnegative count table, one sample per row.
-
-    Every row must contain at least one strictly positive entry; a row of
-    all zeros carries no relative information and is rejected.
-    """
+class _Table:
+    """Validated samples-by-components table (at least 2 of each)."""
 
     values: np.ndarray
 
-    def __post_init__(self):
-        arr = _as_data_matrix(self.values, "count matrix")
-        if np.any(arr < 0):
-            raise ValueError("count matrix contains negative entries")
-        if np.any(arr.sum(axis=1) <= 0):
-            raise ValueError("count matrix contains a row of all zeros")
+    def _validated(self, what: str) -> np.ndarray:
+        arr = _as_matrix(self.values, what, min_rows=2, min_cols=2)
         object.__setattr__(self, "values", arr)
+        return arr
 
     @property
     def n(self) -> int:
@@ -66,7 +71,23 @@ class CountMatrix:
 
 
 @dataclass(frozen=True)
-class CompositionMatrix:
+class CountMatrix(_Table):
+    """Nonnegative count table, one sample per row.
+
+    Every row must contain at least one strictly positive entry; a row of
+    all zeros carries no relative information and is rejected.
+    """
+
+    def __post_init__(self):
+        arr = self._validated("count matrix")
+        if np.any(arr < 0):
+            raise ValueError("count matrix contains negative entries")
+        if np.any(arr.sum(axis=1) <= 0):
+            raise ValueError("count matrix contains a row of all zeros")
+
+
+@dataclass(frozen=True)
+class CompositionMatrix(_Table):
     """Strictly positive proportion table whose rows sum to one.
 
     Rows failing closure within ``ROW_SUM_TOL`` are rejected, not
@@ -75,10 +96,8 @@ class CompositionMatrix:
     (see :func:`close_counts`).
     """
 
-    values: np.ndarray
-
     def __post_init__(self):
-        arr = _as_data_matrix(self.values, "composition matrix")
+        arr = self._validated("composition matrix")
         if np.any(arr <= 0):
             raise ValueError(
                 "composition matrix entries must be strictly positive; "
@@ -92,45 +111,24 @@ class CompositionMatrix:
                 f"composition rows must sum to 1 within {ROW_SUM_TOL:g}; "
                 f"row {worst} sums to {row_sums[worst]!r}"
             )
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass(frozen=True)
-class ClrMatrix:
+class ClrMatrix(_Table):
     """Centered log-ratio coordinates, one sample per row.
 
     Rows sum to zero by construction of the clr transform; the tolerance is
     loose enough for accumulated rounding but catches uncentered input.
     """
 
-    values: np.ndarray
-
     def __post_init__(self):
-        arr = _as_data_matrix(self.values, "clr matrix")
-        row_sums = arr.sum(axis=1)
+        row_sums = self._validated("clr matrix").sum(axis=1)
         if np.any(np.abs(row_sums) > CLR_ROW_SUM_TOL):
             worst = int(np.argmax(np.abs(row_sums)))
             raise ValueError(
                 f"clr rows must sum to 0 within {CLR_ROW_SUM_TOL:g}; "
                 f"row {worst} sums to {row_sums[worst]!r}"
             )
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.values.shape[1]
 
 
 def close_counts(
@@ -174,18 +172,3 @@ def clr_transform(composition) -> ClrMatrix:
     logs = np.log(composition.values)
     centered = logs - logs.mean(axis=1, keepdims=True)
     return ClrMatrix(centered)
-
-
-def variation_from_cov(omega) -> np.ndarray:
-    """Variation matrix implied by a covariance matrix.
-
-    ``t_ij = omega_ii + omega_jj - 2 omega_ij``, the variance of the log
-    ratio of parts i and j under covariance ``omega``.  The diagonal is zero.
-    """
-    arr = np.asarray(omega, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"covariance must be square, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("covariance contains non-finite entries")
-    d = np.diag(arr)
-    return d[:, None] + d[None, :] - 2.0 * arr

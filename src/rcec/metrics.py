@@ -11,19 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-def _square(a, what: str = "matrix") -> np.ndarray:
-    arr = np.asarray(a, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"{what} must be square, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} contains non-finite entries")
-    return arr
+from .compdata import _as_matrix
 
 
 def _pair(a, b):
-    a = _square(a, "first matrix")
-    b = _square(b, "second matrix")
+    a = _as_matrix(a, "first matrix", square=True)
+    b = _as_matrix(b, "second matrix", square=True)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     return a, b
@@ -55,7 +48,7 @@ def frobenius_loss(a, b) -> float:
 
 def min_eigenvalue(a) -> float:
     """Smallest eigenvalue of a symmetric matrix."""
-    arr = _square(a)
+    arr = _as_matrix(a, "matrix", square=True)
     arr = (arr + arr.T) / 2.0
     return float(np.linalg.eigvalsh(arr)[0])
 
@@ -129,7 +122,7 @@ def clr_proxy_gap(omega0) -> tuple:
     actually target; the bound shows the gap vanishing as p grows for
     sparse-enough omega0.
     """
-    arr = _square(omega0, "omega0")
+    arr = _as_matrix(omega0, "omega0", square=True)
     p = arr.shape[0]
     g = centering_matrix(p)
     proxy = g @ arr @ g

@@ -16,46 +16,10 @@ to the sample covariance (divisor n).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class PartitionScheme:
-    """Partition of ``range(n)`` into ``block_count`` contiguous blocks.
-
-    Block sizes differ by at most one; the larger blocks come first.
-    """
-
-    n: int
-    block_count: int
-    blocks: tuple
-
-    def sizes(self) -> list:
-        return [len(b) for b in self.blocks]
-
-
-def regular_partition(n: int, block_count: int) -> PartitionScheme:
-    """Split sample indices 0..n-1 into contiguous near-equal blocks.
-
-    The first ``n mod block_count`` blocks get ``ceil(n / block_count)``
-    elements, the rest get the floor.
-    """
-    n = int(n)
-    block_count = int(block_count)
-    if block_count < 1:
-        raise ValueError(f"block_count must be >= 1, got {block_count}")
-    if block_count > n:
-        raise ValueError(f"block_count {block_count} exceeds sample count {n}")
-    base, extra = divmod(n, block_count)
-    sizes = [base + 1] * extra + [base] * (block_count - extra)
-    blocks = []
-    start = 0
-    for size in sizes:
-        blocks.append(np.arange(start, start + size))
-        start += size
-    return PartitionScheme(n=n, block_count=block_count, blocks=tuple(blocks))
+from .compdata import _as_matrix
 
 
 def default_block_count(p: int, L: float = 1.0, n_cap: int | None = None) -> int:
@@ -77,15 +41,6 @@ def default_block_count(p: int, L: float = 1.0, n_cap: int | None = None) -> int
     return int(m)
 
 
-def _values(W) -> np.ndarray:
-    arr = np.asarray(getattr(W, "values", W), dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError(f"data matrix must be 2-d, got ndim={arr.ndim}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("data matrix contains non-finite entries")
-    return arr
-
-
 def _block_moments(block: np.ndarray):
     # Shared by the sample and MOM paths so that MOM with one block is
     # bitwise identical to the sample covariance.
@@ -99,46 +54,23 @@ def _symmetrize(a: np.ndarray) -> np.ndarray:
     return (a + a.T) / 2.0
 
 
-def median_of_means(values, partition: PartitionScheme) -> float:
-    """Median across partition blocks of within-block means.
-
-    An even number of blocks takes the midpoint of the two central order
-    statistics.
-    """
-    arr = np.asarray(values, dtype=np.float64).ravel()
-    if arr.size == 0:
-        raise ValueError("median_of_means needs at least one value")
-    if arr.size != partition.n:
-        raise ValueError(
-            f"partition covers {partition.n} samples but got {arr.size} values"
-        )
-    block_means = np.array([arr[idx].mean() for idx in partition.blocks])
-    return float(np.median(block_means))
-
-
 def sample_covariance(W) -> np.ndarray:
     """Sample covariance with divisor n (not n - 1)."""
-    arr = _values(W)
-    if arr.shape[0] < 2:
-        raise ValueError(f"need at least 2 samples, got {arr.shape[0]}")
-    mean, second = _block_moments(arr)
+    mean, second = _block_moments(_as_matrix(W, "data matrix", min_rows=2))
     return _symmetrize(second - np.outer(mean, mean))
 
 
-def mom_covariance(W, block_count: int, *, shuffle_seed: int | None = None) -> np.ndarray:
-    """Median-of-means covariance under a regular contiguous partition.
+def mom_covariance(W, block_count: int) -> np.ndarray:
+    """Median-of-means covariance over contiguous near-equal blocks.
 
     Parameters
     ----------
     W : ClrMatrix or array_like
-        Data matrix, one sample per row.
+        Data matrix, one sample per row, in stored order.
     block_count : int
-        Number of partition blocks; must not exceed the sample count.
+        Number of blocks; must not exceed the sample count.  The first
+        ``n mod block_count`` blocks hold one sample more than the rest.
         One block reproduces the sample covariance exactly.
-    shuffle_seed : int, optional
-        When given, rows are permuted by a seeded generator before the
-        contiguous partition is formed.  By default samples keep their
-        stored order so repeated calls are reproducible.
 
     Returns
     -------
@@ -146,17 +78,17 @@ def mom_covariance(W, block_count: int, *, shuffle_seed: int | None = None) -> n
         Symmetric p x p estimate.  Not necessarily positive semidefinite;
         regularization happens downstream.
     """
-    arr = _values(W)
-    n = arr.shape[0]
-    if n < 2:
-        raise ValueError(f"need at least 2 samples, got {n}")
-    if shuffle_seed is not None:
-        arr = arr[np.random.default_rng(shuffle_seed).permutation(n)]
-    partition = regular_partition(n, block_count)
-    means = np.empty((partition.block_count, arr.shape[1]))
-    seconds = np.empty((partition.block_count, arr.shape[1], arr.shape[1]))
-    for l, idx in enumerate(partition.blocks):
-        means[l], seconds[l] = _block_moments(arr[idx[0] : idx[-1] + 1])
+    arr = _as_matrix(W, "data matrix", min_rows=2)
+    n, p = arr.shape
+    block_count = int(block_count)
+    if block_count < 1:
+        raise ValueError(f"block_count must be >= 1, got {block_count}")
+    if block_count > n:
+        raise ValueError(f"block_count {block_count} exceeds sample count {n}")
+    means = np.empty((block_count, p))
+    seconds = np.empty((block_count, p, p))
+    for l, block in enumerate(np.array_split(arr, block_count)):
+        means[l], seconds[l] = _block_moments(block)
     med_second = np.median(seconds, axis=0)
     med_mean = np.median(means, axis=0)
     return _symmetrize(med_second - np.outer(med_mean, med_mean))

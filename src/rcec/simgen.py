@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compdata import CompositionMatrix
+from .compdata import CompositionMatrix, _as_matrix
 
 # Band radius of the Toeplitz block: entry (i, j) is (1 - |i - j| / 10)+.
 BAND_DECAY = 10.0
@@ -202,10 +202,6 @@ def basis_to_composition(y) -> CompositionMatrix:
     overflow.  Entries more than roughly 700 below their row maximum
     underflow to zero and are rejected by composition validation.
     """
-    arr = np.asarray(y, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError(f"basis matrix must be 2-d, got ndim={arr.ndim}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("basis matrix contains non-finite entries")
+    arr = _as_matrix(y, "basis matrix")
     shifted = np.exp(arr - arr.max(axis=1, keepdims=True))
     return CompositionMatrix(shifted / shifted.sum(axis=1, keepdims=True))

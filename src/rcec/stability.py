@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compdata import CompositionMatrix, clr_transform
+from .compdata import CompositionMatrix, _as_matrix, clr_transform
 from .parallel import ordered_map
 from .threshold import threshold_matrix
 from .tuning import EstimatorConfig, estimate, _subset_covariance
@@ -53,18 +53,20 @@ class SupportSet:
 
 def extract_edges(omega, zero_tol: float = 0.0) -> SupportSet:
     """Edges of a symmetric estimate: pairs i < j with ``|omega_ij| > zero_tol``."""
-    arr = np.asarray(omega, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"estimate must be square, got shape {arr.shape}")
+    arr = _as_matrix(omega, "estimate", square=True)
     if zero_tol < 0:
         raise ValueError(f"zero_tol must be nonnegative, got {zero_tol!r}")
-    edges = []
     iu, ju = np.triu_indices(arr.shape[0], k=1)
-    for i, j in zip(iu, ju):
-        w = arr[i, j]
-        if abs(w) > zero_tol:
-            edges.append(Edge(i=int(i), j=int(j), sign=int(np.sign(w)), weight=float(w)))
-    return SupportSet(edges=tuple(edges))
+    weights = arr[iu, ju]
+    keep = np.abs(weights) > zero_tol
+    weights = weights[keep]
+    edges = zip(
+        iu[keep].tolist(),
+        ju[keep].tolist(),
+        np.sign(weights).astype(np.int64).tolist(),
+        weights.tolist(),
+    )
+    return SupportSet(edges=tuple(Edge(*edge) for edge in edges))
 
 
 @dataclass
@@ -104,6 +106,29 @@ def filter_stable(baseline: SupportSet, retain_threshold: int) -> SupportSet:
     )
     occ = {(e.i, e.j): baseline.occurrences.get((e.i, e.j), 0) for e in kept}
     return SupportSet(edges=kept, occurrences=occ)
+
+
+def _tally(baseline: SupportSet, values: np.ndarray):
+    """Occurrence counts, stability and sign agreement of the baseline edges.
+
+    ``values`` holds each replicate's estimate at the baseline pairs, one
+    row per replicate; an entry counts as recovered under the support rule
+    of :func:`extract_edges`.
+    """
+    hits = np.abs(values) > 0.0
+    signs = np.array([e.sign for e in baseline.edges])
+    total_hits = int(hits.sum())
+    sign_hits = int((hits & (np.sign(values) == signs)).sum())
+    if baseline.edges:
+        recovered_fractions = hits.sum(axis=1) / len(baseline.edges)
+    else:
+        recovered_fractions = np.ones(values.shape[0])
+    occurrences = dict(zip(((e.i, e.j) for e in baseline.edges), hits.sum(axis=0).tolist()))
+    return (
+        occurrences,
+        float(np.mean(recovered_fractions)),
+        (sign_hits / total_hits) if total_hits else 1.0,
+    )
 
 
 def bootstrap_stability(
@@ -161,10 +186,13 @@ def bootstrap_stability(
 
     baseline_fit = estimate(X, config)
     baseline = extract_edges(baseline_fit.omega)
+    rows = np.array([e.i for e in baseline.edges], dtype=np.intp)
+    cols = np.array([e.j for e in baseline.edges], dtype=np.intp)
     n = X.n
     children = np.random.SeedSequence(int(seed)).spawn(int(replicates))
 
     def one_replicate(child):
+        # The replicate's estimate at the baseline edges, one value per edge.
         rng = np.random.default_rng(child)
         idx = index_sampler(rng, n) if index_sampler is not None else rng.integers(0, n, n)
         xb = CompositionMatrix(X.values[np.asarray(idx, dtype=np.intp)])
@@ -180,36 +208,19 @@ def bootstrap_stability(
             )
         else:
             omega = estimate(xb, config).omega
-        return extract_edges(omega)
+        return omega[rows, cols]
 
-    replicate_edges = ordered_map(one_replicate, children, workers=workers)
-
-    occurrences = {(e.i, e.j): 0 for e in baseline.edges}
-    sign_hits = 0
-    total_hits = 0
-    recovered_fractions = []
-    baseline_signs = {(e.i, e.j): e.sign for e in baseline.edges}
-    for edges_b in replicate_edges:
-        signs_b = {(e.i, e.j): e.sign for e in edges_b}
-        hits = 0
-        for pair, sign in baseline_signs.items():
-            if pair in signs_b:
-                occurrences[pair] += 1
-                hits += 1
-                total_hits += 1
-                if signs_b[pair] == sign:
-                    sign_hits += 1
-        recovered_fractions.append(hits / len(baseline.edges) if baseline.edges else 1.0)
-
+    values = np.stack(ordered_map(one_replicate, children, workers=workers))
+    occurrences, stability, sign_agreement = _tally(baseline, values)
     baseline_counted = SupportSet(edges=baseline.edges, occurrences=occurrences)
     stable = filter_stable(baseline_counted, retain_threshold)
     return StabilityResult(
         baseline=baseline_counted,
         stable=stable,
-        stability=float(np.mean(recovered_fractions)),
+        stability=stability,
         positives=sum(1 for e in stable.edges if e.sign > 0),
         negatives=sum(1 for e in stable.edges if e.sign < 0),
-        sign_agreement=(sign_hits / total_hits) if total_hits else 1.0,
+        sign_agreement=sign_agreement,
         replicates=int(replicates),
         retain_threshold=int(retain_threshold),
         seed=int(seed),

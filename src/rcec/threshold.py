@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .compdata import _as_matrix
+
 # Floor applied to covariance diagonals when computing entry thresholds.
 # A robust estimate can produce tiny or negative variances on degenerate
 # components; the floor keeps thresholds real and finite.
@@ -91,8 +93,14 @@ class ThresholdRule:
         if self.kind == "soft":
             return "soft"
         if self.kind == "alasso":
-            return f"alasso:{self.eta:g}"
-        return f"scad:{self.a:g}"
+            return f"alasso:{_float_text(self.eta)}"
+        return f"scad:{_float_text(self.a)}"
+
+
+def _float_text(x: float) -> str:
+    """``f"{x:g}"`` when that parses back to ``x``, else the exact ``repr``."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(float(x))
 
 
 def apply_rule(rule: ThresholdRule, z, lam) -> np.ndarray:
@@ -101,10 +109,13 @@ def apply_rule(rule: ThresholdRule, z, lam) -> np.ndarray:
     ``z`` and ``lam`` broadcast against each other; ``lam`` must be
     nonnegative.  Exact zeros stay zero under every rule.
     """
-    z = np.asarray(z, dtype=np.float64)
     lam = np.asarray(lam, dtype=np.float64)
     if np.any(lam < 0):
         raise ValueError("thresholds must be nonnegative")
+    return _apply_rule(rule, np.asarray(z, dtype=np.float64), lam)
+
+
+def _apply_rule(rule: ThresholdRule, z: np.ndarray, lam: np.ndarray) -> np.ndarray:
     absz = np.abs(z)
     soft = np.sign(z) * np.maximum(absz - lam, 0.0)
     if rule.kind == "soft":
@@ -130,28 +141,30 @@ def clamped_diagonal(gamma: np.ndarray) -> np.ndarray:
     d = np.diag(gamma).copy()
     small = d < DIAG_FLOOR
     if np.any(small):
+        # Reached through _entry_thresholds and a public function; point at
+        # the public function's caller.
         warnings.warn(
             f"{int(small.sum())} covariance diagonal entries below {DIAG_FLOOR:g} "
             "were clamped for threshold computation",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
         d[small] = DIAG_FLOOR
     return d
 
 
-def _check_square(gamma) -> np.ndarray:
-    arr = np.asarray(gamma, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"covariance must be square, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("covariance contains non-finite entries")
-    return arr
+def _entry_thresholds(arr: np.ndarray, lam: float, n: int) -> np.ndarray:
+    # Kernel behind entry_thresholds, threshold_matrix and lambda_grid, on a
+    # matrix the caller has validated.
+    if not (lam >= 0):
+        raise ValueError(f"lam must be nonnegative, got {lam!r}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    d = clamped_diagonal(arr)
+    return lam * np.sqrt(np.outer(d, d) * (math.log(arr.shape[0]) / n))
 
 
-def entry_thresholds(
-    gamma, lam: float, n: int, *, log_p_over_n: float | None = None
-) -> np.ndarray:
+def entry_thresholds(gamma, lam: float, n: int) -> np.ndarray:
     """Entry-dependent threshold matrix ``lam_ij``.
 
     Parameters
@@ -163,19 +176,8 @@ def entry_thresholds(
         Scale-free tuning parameter, nonnegative.
     n : int
         Sample count behind ``gamma``; enters through ``log(p) / n``.
-    log_p_over_n : float, optional
-        Override for the ``log(p) / n`` factor, useful when the factor is
-        specified directly rather than through an integer sample count.
     """
-    arr = _check_square(gamma)
-    if not (lam >= 0):
-        raise ValueError(f"lam must be nonnegative, got {lam!r}")
-    if log_p_over_n is None:
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
-        log_p_over_n = math.log(arr.shape[0]) / n
-    d = clamped_diagonal(arr)
-    return lam * np.sqrt(np.outer(d, d) * log_p_over_n)
+    return _entry_thresholds(_as_matrix(gamma, "covariance", square=True), lam, n)
 
 
 def threshold_matrix(
@@ -185,7 +187,6 @@ def threshold_matrix(
     rule: ThresholdRule,
     *,
     threshold_diagonal: bool = False,
-    log_p_over_n: float | None = None,
 ) -> np.ndarray:
     """Threshold a covariance estimate entrywise.
 
@@ -195,9 +196,8 @@ def threshold_matrix(
     only push the estimate further from positive definiteness, hence the
     default.
     """
-    arr = _check_square(gamma)
-    t = entry_thresholds(arr, lam, n, log_p_over_n=log_p_over_n)
-    out = apply_rule(rule, arr, t)
+    arr = _as_matrix(gamma, "covariance", square=True)
+    out = _apply_rule(rule, arr, _entry_thresholds(arr, lam, n))
     if not threshold_diagonal:
         np.fill_diagonal(out, np.diag(arr))
     return out

@@ -14,15 +14,21 @@ toward the largest (sparsest) candidate.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, fields, replace
+import typing
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .compdata import ClrMatrix, CompositionMatrix, clr_transform
+from .compdata import CompositionMatrix, _as_matrix, clr_transform
 from .metrics import min_eigenvalue
 from .mom import default_block_count, mom_covariance, sample_covariance
-from .threshold import DIAG_FLOOR, ThresholdRule, clamped_diagonal, threshold_matrix
+from .threshold import (
+    DIAG_FLOOR,
+    ThresholdRule,
+    _entry_thresholds,
+    _float_text,
+    threshold_matrix,
+)
 
 ESTIMATOR_KINDS = ("rcec", "coat")
 
@@ -90,20 +96,24 @@ class EstimatorConfig:
         if self.block_count is not None and int(self.block_count) < 1:
             raise ValueError(f"block_count must be >= 1, got {self.block_count}")
 
+    def to_dict(self) -> dict:
+        """Field values in declaration order, the rule as its spec string."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out[f.name] = value.spec() if isinstance(value, ThresholdRule) else value
+        return out
+
     def to_kv(self) -> str:
-        """Serialize to the flat ``key = value`` text format."""
+        """Serialize to the flat ``key = value`` text format.
+
+        Unset optional fields (``None``) are left out.
+        """
         lines = [
-            f"estimator = {self.estimator}",
-            f"rule = {self.rule.spec()}",
-            f"folds = {self.folds}",
-            f"grid_size = {self.grid_size}",
-            f"L = {self.L:g}",
-            f"enforce_pd = {str(self.enforce_pd).lower()}",
-            f"threshold_diagonal = {str(self.threshold_diagonal).lower()}",
-            f"seed = {self.seed}",
+            f"{key} = {_kv_text(value)}"
+            for key, value in self.to_dict().items()
+            if value is not None
         ]
-        if self.block_count is not None:
-            lines.append(f"block_count = {self.block_count}")
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -113,7 +123,6 @@ class EstimatorConfig:
         Blank lines and lines starting with ``#`` are ignored; unknown keys
         are rejected.
         """
-        known = {f.name for f in fields(cls)}
         kwargs = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
@@ -124,7 +133,7 @@ class EstimatorConfig:
                 raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
             key = key.strip()
             value = value.strip()
-            if key not in known:
+            if key not in _FIELD_TYPES:
                 raise ValueError(f"line {lineno}: unknown config key {key!r}")
             if key in kwargs:
                 raise ValueError(f"line {lineno}: duplicate config key {key!r}")
@@ -135,25 +144,34 @@ class EstimatorConfig:
         return cls(**kwargs)
 
 
+def _kv_text(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return _float_text(value)
+    return str(value)
+
+
 def _parse_kv_value(key: str, value: str):
-    if key == "estimator":
-        return value
-    if key == "rule":
+    kind = _FIELD_TYPES[key]
+    if typing.get_args(kind):  # ``T | None``
+        if value.lower() in ("none", ""):
+            return None
+        kind = typing.get_args(kind)[0]
+    if kind is ThresholdRule:
         return ThresholdRule.parse(value)
-    if key in ("folds", "grid_size", "seed"):
-        return int(value)
-    if key == "L":
-        return float(value)
-    if key in ("enforce_pd", "threshold_diagonal"):
+    if kind is bool:
         lowered = value.lower()
         if lowered in ("true", "1", "yes"):
             return True
         if lowered in ("false", "0", "no"):
             return False
         raise ValueError(f"expected a boolean for {key}, got {value!r}")
-    if key == "block_count":
-        return None if value.lower() in ("none", "") else int(value)
-    raise ValueError(f"unknown config key {key!r}")
+    return kind(value)
+
+
+# The config schema: field name -> type, in declaration order.
+_FIELD_TYPES = typing.get_type_hints(EstimatorConfig)
 
 
 @dataclass
@@ -185,17 +203,6 @@ class EstimateResult:
     warnings: list
 
 
-def _clr_values(W) -> np.ndarray:
-    if isinstance(W, ClrMatrix):
-        return W.values
-    arr = np.asarray(W, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError(f"data matrix must be 2-d, got ndim={arr.ndim}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("data matrix contains non-finite entries")
-    return arr
-
-
 def _effective_block_count(config: EstimatorConfig, p: int, n_sub: int) -> int:
     if config.estimator == "coat":
         return 1
@@ -211,9 +218,7 @@ def _subset_covariance(values: np.ndarray, config: EstimatorConfig) -> np.ndarra
     return mom_covariance(values, m)
 
 
-def lambda_grid(
-    gamma, n: int, grid_size: int = 50, *, log_p_over_n: float | None = None
-) -> np.ndarray:
+def lambda_grid(gamma, n: int, grid_size: int = 50) -> np.ndarray:
     """Linear grid of candidate tuning values from 0 to the smallest
     all-zeroing value.
 
@@ -223,25 +228,22 @@ def lambda_grid(
     diagonal.  Without off-diagonal signal the grid degenerates to
     ``[0, 1e-12]``.
     """
-    arr = np.asarray(gamma, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"covariance must be square, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("covariance contains non-finite entries")
+    arr = _as_matrix(gamma, "covariance", square=True)
     if int(grid_size) < 2:
         raise ValueError(f"grid_size must be >= 2, got {grid_size}")
-    p = arr.shape[0]
-    if log_p_over_n is None:
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
-        log_p_over_n = math.log(p) / n
-    d = clamped_diagonal(arr)
-    scale = np.sqrt(np.outer(d, d) * log_p_over_n)
-    off = ~np.eye(p, dtype=bool)
+    scale = _entry_thresholds(arr, 1.0, n)
+    off = ~np.eye(arr.shape[0], dtype=bool)
     lam_max = float((np.abs(arr)[off] / scale[off]).max())
     if lam_max <= 0.0:
         lam_max = DEGENERATE_GRID_MAX
     return np.linspace(0.0, lam_max, int(grid_size))
+
+
+def _as_grid(grid) -> np.ndarray:
+    grid = np.asarray(grid, dtype=np.float64)
+    if grid.ndim != 1 or grid.size < 1:
+        raise ValueError("grid must be a nonempty 1-d array")
+    return grid
 
 
 def make_folds(n: int, folds: int, seed: int) -> list:
@@ -279,14 +281,12 @@ def cv_select(W, config: EstimatorConfig, *, grid=None):
         ``(candidate, mean error)`` rows.  Ties resolve to the largest
         candidate.
     """
-    values = _clr_values(W)
-    n, p = values.shape
+    values = _as_matrix(W, "data matrix")
+    n = values.shape[0]
     fold_indices = make_folds(n, int(config.folds), int(config.seed))
     if grid is None:
         grid = lambda_grid(_subset_covariance(values, config), n, config.grid_size)
-    grid = np.asarray(grid, dtype=np.float64)
-    if grid.ndim != 1 or grid.size < 1:
-        raise ValueError("grid must be a nonempty 1-d array")
+    grid = _as_grid(grid)
 
     errors = np.zeros((len(fold_indices), grid.size))
     for v, test_idx in enumerate(fold_indices):
@@ -312,29 +312,18 @@ def cv_select(W, config: EstimatorConfig, *, grid=None):
     return float(grid[best]), curve
 
 
-def pd_floor(W, grid, config: EstimatorConfig):
+def pd_floor_scan(gamma, grid, n: int, config: EstimatorConfig):
     """Restrict a tuning grid to values giving a positive definite estimate.
 
-    Scans the full-data thresholded estimate over the grid and returns the
-    suffix starting at the smallest value whose minimum eigenvalue exceeds
+    Thresholds the full-data covariance ``gamma`` (from ``n`` samples) at
+    every grid value and returns ``(restricted_grid, warnings)``: the suffix
+    starting at the smallest value whose minimum eigenvalue exceeds
     ``PD_TOL``.  If no value qualifies the full grid is returned with a
     warning.  The qualifying set is expected to be a suffix (thresholding
     harder moves the estimate toward its diagonal); a warning reports any
     exception observed.
     """
-    values = _clr_values(W)
-    gamma = _subset_covariance(values, config)
-    return pd_floor_scan(gamma, grid, values.shape[0], config)
-
-
-def pd_floor_scan(gamma, grid, n: int, config: EstimatorConfig):
-    """Grid restriction as in :func:`pd_floor`, from a precomputed covariance.
-
-    Returns ``(restricted_grid, warnings)``.
-    """
-    grid = np.asarray(grid, dtype=np.float64)
-    if grid.ndim != 1 or grid.size < 1:
-        raise ValueError("grid must be a nonempty 1-d array")
+    grid = _as_grid(grid)
     notes = []
     qualifies = np.zeros(grid.size, dtype=bool)
     for g, lam in enumerate(grid):
@@ -383,7 +372,7 @@ def estimate_from_latent(Y, config: EstimatorConfig | None = None) -> EstimateRe
     """
     if config is None:
         config = EstimatorConfig()
-    return _estimate_from_matrix(_clr_values(Y), config)
+    return _estimate_from_matrix(_as_matrix(Y, "data matrix"), config)
 
 
 def _estimate_from_matrix(values: np.ndarray, config: EstimatorConfig) -> EstimateResult:
@@ -423,10 +412,3 @@ def _estimate_from_matrix(values: np.ndarray, config: EstimatorConfig) -> Estima
         block_count=m,
         warnings=notes,
     )
-
-
-def with_estimator(config: EstimatorConfig, estimator: str, seed: int | None = None):
-    """Copy a config with a different estimator kind (and optionally seed)."""
-    if seed is None:
-        return replace(config, estimator=estimator)
-    return replace(config, estimator=estimator, seed=int(seed))

@@ -13,7 +13,6 @@ from rcec import (
     basis_to_composition,
     close_counts,
     clr_transform,
-    variation_from_cov,
 )
 
 positive_rows = hnp.arrays(
@@ -117,24 +116,3 @@ class TestClrTransform:
         w = clr_transform(basis_to_composition(y))
         centered = y - y.mean(axis=1, keepdims=True)
         np.testing.assert_allclose(w.values, centered, atol=1e-10)
-
-
-class TestVariationFromCov:
-    def test_identity_case(self):
-        np.testing.assert_array_equal(
-            variation_from_cov(np.eye(2)), [[0.0, 2.0], [2.0, 0.0]]
-        )
-
-    def test_hand_value(self):
-        t = variation_from_cov([[1.0, 0.5], [0.5, 2.0]])
-        assert t[0, 1] == pytest.approx(2.0)
-
-    @given(hnp.arrays(np.float64, (5, 5), elements=st.floats(-10, 10)))
-    def test_symmetric_zero_diagonal(self, a):
-        t = variation_from_cov((a + a.T) / 2)
-        np.testing.assert_array_equal(np.diag(t), 0.0)
-        np.testing.assert_allclose(t, t.T)
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError, match="square"):
-            variation_from_cov(np.ones((2, 3)))

@@ -1,75 +1,104 @@
-"""Regular partitions and median-of-means covariance."""
+"""Median-of-means covariance, its block partition, and the sample covariance."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rcec import (
-    default_block_count,
-    median_of_means,
-    mom_covariance,
-    regular_partition,
-    sample_covariance,
-)
+from rcec import default_block_count, mom_covariance, sample_covariance
+
+
+def _mom_reference(w, sizes):
+    # Straight-line MOM over explicitly sized contiguous blocks.
+    bounds = np.cumsum([0] + list(sizes))
+    blocks = [w[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    med_mean = np.median([b.mean(axis=0) for b in blocks], axis=0)
+    med_second = np.median([b.T @ b / b.shape[0] for b in blocks], axis=0)
+    g = med_second - np.outer(med_mean, med_mean)
+    return (g + g.T) / 2.0
 
 
 class TestRegularPartition:
+    """mom_covariance splits the rows, in stored order, into contiguous
+    blocks whose sizes differ by at most one, larger blocks first."""
+
     def test_even_split(self):
-        assert regular_partition(6, 3).sizes() == [2, 2, 2]
+        # Blocks {1, 3}, {5, 7}, {9, 11}: means 2, 6, 10; second moments
+        # 5, 37, 101; median 37 - 6**2 = 1.
+        w = np.array([[1.0], [3.0], [5.0], [7.0], [9.0], [11.0]])
+        assert mom_covariance(w, 3)[0, 0] == 1.0
 
     def test_uneven_split_larger_blocks_first(self):
-        assert regular_partition(7, 3).sizes() == [3, 2, 2]
+        cases = [
+            # n = 3, two blocks of sizes 2, 1: {1, 3}, {10}.  Means 2 and 10,
+            # second moments 5 and 100; both medians are midpoints.
+            (np.array([[1.0], [3.0], [10.0]]), 2, [[52.5 - 36.0]]),
+            # n = 7, three blocks of sizes 3, 2, 2.  Block means (0, 1),
+            # (1, 3), (2, -1); the entrywise medians give the result.
+            (
+                np.column_stack(
+                    [[0.0, 0.0, 0.0, 1.0, 1.0, 2.0, 2.0], [1.0, 1.0, 1.0, 3.0, 3.0, -1.0, -1.0]]
+                ),
+                3,
+                [[0.0, -1.0], [-1.0, 0.0]],
+            ),
+        ]
+        for w, block_count, expected in cases:
+            np.testing.assert_array_equal(mom_covariance(w, block_count), expected)
+            # The same rows cut with the smaller blocks first give another answer.
+            base, extra = divmod(w.shape[0], block_count)
+            smaller_first = [base] * (block_count - extra) + [base + 1] * extra
+            assert not np.array_equal(_mom_reference(w, smaller_first), expected)
 
     def test_block_count_exceeding_n_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
-            regular_partition(3, 5)
+            mom_covariance(np.ones((3, 2)), 5)
 
     def test_block_count_below_one_rejected(self):
         with pytest.raises(ValueError, match=">= 1"):
-            regular_partition(3, 0)
+            mom_covariance(np.ones((3, 2)), 0)
 
     def test_single_block(self):
-        scheme = regular_partition(5, 1)
-        np.testing.assert_array_equal(scheme.blocks[0], np.arange(5))
+        rng = np.random.default_rng(12)
+        w = rng.normal(size=(5, 3))
+        np.testing.assert_array_equal(mom_covariance(w, 1), _mom_reference(w, [5]))
 
-    @given(st.integers(1, 60), st.integers(1, 60))
-    def test_blocks_partition_range(self, n, m):
+    @given(st.integers(2, 60), st.integers(1, 60), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_blocks_partition_range(self, n, m, p, seed):
+        w = np.random.default_rng(seed).normal(size=(n, p))
         if m > n:
-            with pytest.raises(ValueError):
-                regular_partition(n, m)
+            with pytest.raises(ValueError, match="exceeds"):
+                mom_covariance(w, m)
             return
-        scheme = regular_partition(n, m)
-        joined = np.concatenate(scheme.blocks)
-        np.testing.assert_array_equal(joined, np.arange(n))
-        sizes = scheme.sizes()
-        assert max(sizes) - min(sizes) <= 1
-        assert len(sizes) == m
+        base, extra = divmod(n, m)
+        sizes = [base + 1] * extra + [base] * (m - extra)
+        np.testing.assert_allclose(
+            mom_covariance(w, m), _mom_reference(w, sizes), rtol=1e-12, atol=1e-12
+        )
 
 
 class TestMedianOfMeans:
+    """The median of block means, seen on one component (p = 1)."""
+
     def test_hand_example(self):
-        values = [1, 2, 3, 4, 5, 100]
-        assert median_of_means(values, regular_partition(6, 3)) == 3.5
+        # Blocks {1, 2}, {3, 4}, {5, 100}: median mean 3.5, median second
+        # moment 12.5; the outlier moves neither.
+        w = np.array([[1.0], [2.0], [3.0], [4.0], [5.0], [100.0]])
+        assert mom_covariance(w, 3)[0, 0] == 12.5 - 3.5**2
 
     def test_single_block_is_mean(self):
-        values = [1.0, 2.0, 4.0]
-        assert median_of_means(values, regular_partition(3, 1)) == pytest.approx(
-            np.mean(values)
-        )
+        w = np.array([[1.0], [2.0], [4.0]])
+        assert mom_covariance(w, 1)[0, 0] == pytest.approx(np.var(w))
 
     def test_n_blocks_is_sample_median(self):
-        # Even block count: midpoint of the two central order statistics.
-        values = [1, 2, 3, 4, 5, 100]
-        assert median_of_means(values, regular_partition(6, 6)) == 3.5
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="partition covers"):
-            median_of_means([1.0, 2.0], regular_partition(3, 1))
+        # One sample per block, even count: midpoints of the two central
+        # order statistics, 3.5 for the values and 12.5 for their squares.
+        w = np.array([[1.0], [2.0], [3.0], [4.0], [5.0], [100.0]])
+        assert mom_covariance(w, 6)[0, 0] == 12.5 - 3.5**2
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="at least one value"):
-            median_of_means([], regular_partition(2, 1))
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            mom_covariance(np.empty((0, 3)), 1)
 
 
 class TestSampleCovariance:
@@ -128,12 +157,14 @@ class TestMomCovariance:
         assert np.max(np.abs(sample_covariance(w_bad) - clean)) > 1e6
 
     def test_shuffle_seed_deterministic(self):
+        # Blocks follow the stored row order; a caller wanting random blocks
+        # shuffles the rows with a seeded generator first, and gets the
+        # same answer for the same seed.
         rng = np.random.default_rng(6)
         w = rng.normal(size=(20, 3))
-        a = mom_covariance(w, 4, shuffle_seed=9)
-        b = mom_covariance(w, 4, shuffle_seed=9)
-        np.testing.assert_array_equal(a, b)
-        assert not np.array_equal(a, mom_covariance(w, 4))
+        shuffled = w[np.random.default_rng(9).permutation(20)]
+        np.testing.assert_array_equal(mom_covariance(shuffled, 4), mom_covariance(shuffled, 4))
+        assert not np.array_equal(mom_covariance(shuffled, 4), mom_covariance(w, 4))
 
     def test_accepts_clr_matrix(self):
         from rcec import clr_transform

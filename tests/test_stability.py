@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rcec import (
     EstimatorConfig,
@@ -11,7 +14,7 @@ from rcec import (
     sample_case,
 )
 from rcec.simgen import basis_to_composition, get_case
-from rcec.stability import Edge, SupportSet
+from rcec.stability import Edge, SupportSet, _tally
 
 
 def case1_composition(n=80, p=12, seed=5):
@@ -20,6 +23,55 @@ def case1_composition(n=80, p=12, seed=5):
 
 
 FAST = EstimatorConfig(grid_size=12, seed=0)
+
+
+# Per-pair loop references for the vectorised supports.
+
+def loop_extract_edges(omega, zero_tol=0.0):
+    edges = []
+    iu, ju = np.triu_indices(omega.shape[0], k=1)
+    for i, j in zip(iu, ju):
+        w = omega[i, j]
+        if abs(w) > zero_tol:
+            edges.append(Edge(i=int(i), j=int(j), sign=int(np.sign(w)), weight=float(w)))
+    return SupportSet(edges=tuple(edges))
+
+
+def loop_tally(baseline, replicate_supports):
+    occurrences = {(e.i, e.j): 0 for e in baseline.edges}
+    sign_hits = 0
+    total_hits = 0
+    recovered_fractions = []
+    baseline_signs = {(e.i, e.j): e.sign for e in baseline.edges}
+    for edges_b in replicate_supports:
+        signs_b = {(e.i, e.j): e.sign for e in edges_b}
+        hits = 0
+        for pair, sign in baseline_signs.items():
+            if pair in signs_b:
+                occurrences[pair] += 1
+                hits += 1
+                total_hits += 1
+                if signs_b[pair] == sign:
+                    sign_hits += 1
+        recovered_fractions.append(hits / len(baseline.edges) if baseline.edges else 1.0)
+    stability = float(np.mean(recovered_fractions))
+    return occurrences, stability, (sign_hits / total_hits) if total_hits else 1.0
+
+
+# Entries are exact zeros or either sign; symmetrised from the upper triangle.
+entries = st.one_of(st.just(0.0), st.floats(-10.0, 10.0, allow_nan=False))
+
+
+def symmetric(upper):
+    upper = np.triu(upper, 1)
+    return upper + upper.T + np.eye(upper.shape[0])
+
+
+def symmetric_of(p):
+    return hnp.arrays(np.float64, (p, p), elements=entries).map(symmetric)
+
+
+symmetric_matrices = st.integers(2, 9).flatmap(symmetric_of)
 
 
 class TestExtractEdges:
@@ -64,6 +116,38 @@ class TestExtractEdges:
         (edge,) = support.edges
         assert (edge.i, edge.j) == (0, 2)
         assert edge.weight == -1.5
+
+
+class TestVectorisedSupports:
+    @given(symmetric_matrices, st.one_of(st.just(0.0), st.floats(0.0, 5.0)))
+    def test_extract_edges_matches_loop(self, omega, zero_tol):
+        support = extract_edges(omega, zero_tol)
+        assert support == loop_extract_edges(omega, zero_tol)
+        for e in support:
+            assert (type(e.i), type(e.j), type(e.sign), type(e.weight)) == (int, int, int, float)
+
+    @given(st.data())
+    def test_tally_matches_loop(self, data):
+        # Replicates keep, drop (exact zero) or flip each baseline edge and
+        # carry unrelated entries elsewhere.
+        baseline_omega = data.draw(symmetric_matrices)
+        p = baseline_omega.shape[0]
+        baseline = extract_edges(baseline_omega)
+        replicates = data.draw(st.integers(1, 6))
+        omegas = [data.draw(symmetric_of(p)) for _ in range(replicates)]
+        for omega in omegas:
+            for e in baseline.edges:
+                scale = data.draw(st.sampled_from([0.0, 1.0, -1.0, 0.5]))
+                omega[e.i, e.j] = omega[e.j, e.i] = scale * e.weight
+        rows = [e.i for e in baseline.edges]
+        cols = [e.j for e in baseline.edges]
+        values = np.stack([omega[rows, cols] for omega in omegas])
+        expected = loop_tally(baseline, [loop_extract_edges(o) for o in omegas])
+        occurrences, stability, sign_agreement = _tally(baseline, values)
+        assert occurrences == expected[0]
+        assert list(occurrences) == list(expected[0])
+        assert stability == expected[1]
+        assert sign_agreement == expected[2]
 
 
 class TestSupportSet:
@@ -142,6 +226,21 @@ class TestBootstrapStability:
         threaded = bootstrap_stability(x, FAST, replicates=6, seed=11, workers=4)
         assert serial.baseline.occurrences == threaded.baseline.occurrences
         assert serial.stability == threaded.stability
+
+    def test_workers_do_not_change_the_answer_at_blas_scale(self):
+        # At p = 200 a multithreaded BLAS would split the products; the
+        # answer must not depend on the worker count either way, including
+        # where the BLAS thread pin is unavailable.
+        x = basis_to_composition(sample_case(get_case(2), 100, 200, 17))
+        cfg = EstimatorConfig(grid_size=10, seed=0)
+        kwargs = dict(replicates=4, retain_threshold=2, seed=5, reuse_lambda=True)
+        serial = bootstrap_stability(x, cfg, workers=1, **kwargs)
+        threaded = bootstrap_stability(x, cfg, workers=2, **kwargs)
+        assert len(serial.baseline) > 0
+        assert serial.baseline.occurrences == threaded.baseline.occurrences
+        assert serial.stability == threaded.stability
+        assert serial.sign_agreement == threaded.sign_agreement
+        assert serial.stable.pairs() == threaded.stable.pairs()
 
     def test_reuse_lambda_shortcut(self):
         x = case1_composition()

@@ -168,8 +168,8 @@ class TestRuleProperties:
 class TestEntryThresholds:
     def test_hand_value(self):
         gamma = np.diag([4.0, 4.0])
-        t = entry_thresholds(gamma, 0.5, n=0, log_p_over_n=0.01)
-        assert t[0, 1] == pytest.approx(0.2)
+        t = entry_thresholds(gamma, 0.5, n=100)
+        assert t[0, 1] == pytest.approx(0.5 * np.sqrt(16.0 * np.log(2) / 100))
 
     def test_zero_lambda(self):
         np.testing.assert_array_equal(
@@ -191,9 +191,9 @@ class TestEntryThresholds:
     def test_degenerate_diagonal_clamped_with_warning(self):
         gamma = np.array([[1.0, 0.5], [0.5, -2.0]])
         with pytest.warns(RuntimeWarning, match="clamped"):
-            t = entry_thresholds(gamma, 1.0, n=0, log_p_over_n=1.0)
-        assert t[1, 1] == pytest.approx(1e-12)
-        assert t[0, 1] == pytest.approx(np.sqrt(1e-12))
+            t = entry_thresholds(gamma, 1.0, n=1)
+        assert t[1, 1] == pytest.approx(1e-12 * np.sqrt(np.log(2)))
+        assert t[0, 1] == pytest.approx(np.sqrt(1e-12 * np.log(2)))
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError, match="square"):
@@ -220,10 +220,8 @@ class TestThresholdMatrix:
 
     def test_hand_value(self):
         gamma = np.array([[4.0, 1.0], [1.0, 4.0]])
-        out = threshold_matrix(
-            gamma, 0.5, n=0, rule=ThresholdRule.soft(), log_p_over_n=0.01
-        )
-        assert out[0, 1] == pytest.approx(0.8)
+        out = threshold_matrix(gamma, 0.5, n=100, rule=ThresholdRule.soft())
+        assert out[0, 1] == pytest.approx(1.0 - 0.5 * np.sqrt(16.0 * np.log(2) / 100))
         assert out[0, 0] == 4.0
 
     def test_diagonal_thresholding_opt_in(self):
@@ -231,12 +229,11 @@ class TestThresholdMatrix:
         out = threshold_matrix(
             gamma,
             0.5,
-            n=0,
+            n=100,
             rule=ThresholdRule.soft(),
             threshold_diagonal=True,
-            log_p_over_n=0.01,
         )
-        assert out[0, 0] == pytest.approx(4.0 - 0.5 * np.sqrt(0.16))
+        assert out[0, 0] == pytest.approx(4.0 - 0.5 * np.sqrt(16.0 * np.log(2) / 100))
 
     def test_support_shrinks_as_lambda_grows(self):
         rng = np.random.default_rng(2)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rcec import (
     EstimatorConfig,
@@ -13,11 +15,10 @@ from rcec import (
     estimate_from_latent,
     lambda_grid,
     make_folds,
-    pd_floor,
     sample_case,
     threshold_matrix,
 )
-from rcec.tuning import PD_TOL, _subset_covariance, pd_floor_scan, with_estimator
+from rcec.tuning import PD_TOL, _subset_covariance, pd_floor_scan
 
 
 def _composition(case=1, n=60, p=10, seed=0):
@@ -69,6 +70,44 @@ class TestEstimatorConfig:
     def test_kv_round_trip(self, cfg):
         assert EstimatorConfig.from_kv(cfg.to_kv()) == cfg
 
+    @given(
+        L=st.floats(min_value=0.0, exclude_min=True),
+        eta=st.floats(min_value=1.0),
+        a=st.floats(min_value=2.0, exclude_min=True),
+    )
+    def test_kv_round_trip_keeps_every_float_bit(self, L, eta, a):
+        for rule in (ThresholdRule.adaptive_lasso(eta), ThresholdRule.scad(a)):
+            cfg = EstimatorConfig(L=L, rule=rule)
+            assert EstimatorConfig.from_kv(cfg.to_kv()) == cfg
+            assert ThresholdRule.parse(rule.spec()) == rule
+
+    def test_kv_text_of_short_floats_is_unchanged(self):
+        cfg = EstimatorConfig(rule=ThresholdRule.scad(3.7), L=1.0)
+        assert "rule = scad:3.7\n" in cfg.to_kv()
+        assert "L = 1\n" in cfg.to_kv()
+        assert ThresholdRule.adaptive_lasso(2.0).spec() == "alasso:2"
+        assert EstimatorConfig(L=1.2345678).to_kv().count("L = 1.2345678\n") == 1
+        assert ThresholdRule.scad(3.123456789).spec() == "scad:3.123456789"
+
+    def test_to_dict_is_the_report_schema(self):
+        cfg = EstimatorConfig(rule=ThresholdRule.adaptive_lasso(2.0), block_count=3)
+        assert cfg.to_dict() == {
+            "estimator": "rcec",
+            "rule": "alasso:2",
+            "folds": 5,
+            "grid_size": 50,
+            "L": 1.0,
+            "enforce_pd": True,
+            "threshold_diagonal": False,
+            "seed": 0,
+            "block_count": 3,
+        }
+        assert list(cfg.to_dict()) == [
+            "estimator", "rule", "folds", "grid_size", "L",
+            "enforce_pd", "threshold_diagonal", "seed", "block_count",
+        ]
+        assert "block_count" not in EstimatorConfig().to_kv()
+
     def test_kv_accepts_comments_and_blanks(self):
         text = "# pipeline settings\n\nfolds = 3\nrule = alasso:2\n"
         cfg = EstimatorConfig.from_kv(text)
@@ -85,18 +124,13 @@ class TestEstimatorConfig:
         with pytest.raises(ValueError, match="boolean"):
             EstimatorConfig.from_kv("enforce_pd = maybe\n")
 
-    def test_with_estimator(self):
-        cfg = EstimatorConfig(seed=5)
-        coat = with_estimator(cfg, "coat")
-        assert coat.estimator == "coat" and coat.seed == 5
-        assert with_estimator(cfg, "coat", seed=9).seed == 9
-
 
 class TestLambdaGrid:
     def test_hand_value(self):
         gamma = np.array([[1.0, 0.5], [0.5, 1.0]])
-        grid = lambda_grid(gamma, n=0, grid_size=2, log_p_over_n=0.04)
-        np.testing.assert_allclose(grid, [0.0, 2.5])
+        # Upper end: |gamma_01| / sqrt(gamma_00 gamma_11 log(p) / n).
+        grid = lambda_grid(gamma, n=25, grid_size=2)
+        assert grid == pytest.approx([0.0, 0.5 / np.sqrt(np.log(2) / 25)])
 
     def test_linear_with_endpoints(self):
         gamma = np.array([[1.0, 0.5], [0.5, 1.0]])
@@ -221,7 +255,7 @@ class TestPdFloor:
         cfg = EstimatorConfig(seed=0)
         gamma = _subset_covariance(w.values, cfg)
         grid = lambda_grid(gamma, 80, 10)
-        restricted, notes = pd_floor(w, grid, cfg)
+        restricted, notes = pd_floor_scan(gamma, grid, 80, cfg)
         if np.linalg.eigvalsh(gamma)[0] > PD_TOL:
             np.testing.assert_array_equal(restricted, grid)
             assert notes == []
