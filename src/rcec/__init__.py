@@ -18,7 +18,7 @@ from .mom import (
     mom_covariance,
     sample_covariance,
 )
-from .threshold import ThresholdRule, apply_rule, entry_thresholds, threshold_matrix
+from .threshold import ThresholdRule, apply_rule, threshold_matrix
 from .tuning import (
     EstimateResult,
     EstimatorConfig,
@@ -67,7 +67,6 @@ __all__ = [
     "sample_covariance",
     "ThresholdRule",
     "apply_rule",
-    "entry_thresholds",
     "threshold_matrix",
     "EstimateResult",
     "EstimatorConfig",

@@ -25,7 +25,6 @@ from pathlib import Path
 import numpy as np
 
 from .bench import (
-    BENCH_ESTIMATORS,
     BenchmarkSpec,
     records_to_csv,
     rows_to_csv,
@@ -34,7 +33,7 @@ from .bench import (
     summarize,
 )
 from .compdata import DEFAULT_ZERO_REPLACEMENT, CompositionMatrix, close_counts
-from .simgen import CASES, get_case, basis_to_composition, sample_case
+from .simgen import CASES, _check_dimension, get_case, basis_to_composition, sample_case
 from .stability import bootstrap_stability
 from .threshold import ThresholdRule
 from .tuning import EstimatorConfig, estimate
@@ -253,7 +252,18 @@ def cmd_estimate(args) -> int:
     return EXIT_OK
 
 
+def _check_p(p: int) -> None:
+    # The synthetic truths come from build_omega0; reject a size it cannot build.
+    try:
+        _check_dimension(p)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def cmd_simulate(args) -> int:
+    _check_p(args.p)
+    if args.n < 2:
+        raise UsageError(f"composition matrix needs at least 2 samples, got n={args.n}")
     case = get_case(args.case)
     y = sample_case(case, args.n, args.p, args.seed)
     x = basis_to_composition(y)
@@ -295,16 +305,10 @@ def _parse_int_list(text: str, what: str) -> tuple:
 
 def cmd_benchmark(args) -> int:
     cases = _parse_int_list(args.cases, "case")
-    for case in cases:
-        if case not in CASES:
-            raise UsageError(f"unknown case {case}; expected one of {sorted(CASES)}")
     p_values = _parse_int_list(args.p, "dimension")
+    for p in p_values:
+        _check_p(p)
     estimators = tuple(part.strip() for part in args.estimators.split(",") if part.strip())
-    for arm in estimators:
-        if arm not in BENCH_ESTIMATORS:
-            raise UsageError(
-                f"unknown estimator {arm!r}; expected from {','.join(BENCH_ESTIMATORS)}"
-            )
     config = build_config(args)
     try:
         spec = BenchmarkSpec(

@@ -81,6 +81,14 @@ def get_case(case) -> SimulationCase:
         ) from None
 
 
+def _check_dimension(p: int) -> int:
+    """``p`` as an int, if :func:`build_omega0` can build a truth of that size."""
+    p = int(p)
+    if p < 4 or p % 2 != 0:
+        raise ValueError(f"p must be an even integer >= 4, got {p}")
+    return p
+
+
 def build_omega0(p: int) -> np.ndarray:
     """Ground-truth basis covariance: banded Toeplitz block plus 4I block.
 
@@ -88,9 +96,7 @@ def build_omega0(p: int) -> np.ndarray:
     block has entries ``(1 - |i - j| / 10)+`` (so the band width is 9 on each
     side), the second is four times the identity.
     """
-    p = int(p)
-    if p < 4 or p % 2 != 0:
-        raise ValueError(f"p must be an even integer >= 4, got {p}")
+    p = _check_dimension(p)
     half = p // 2
     idx = np.arange(half)
     banded = np.maximum(1.0 - np.abs(idx[:, None] - idx[None, :]) / BAND_DECAY, 0.0)

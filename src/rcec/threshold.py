@@ -132,52 +132,43 @@ def _apply_rule(rule: ThresholdRule, z: np.ndarray, lam: np.ndarray) -> np.ndarr
     return np.where(absz <= 2.0 * lam, soft, np.where(absz <= a * lam, mid, z))
 
 
-def clamped_diagonal(gamma: np.ndarray) -> np.ndarray:
-    """Diagonal of ``gamma`` floored at ``DIAG_FLOOR``.
-
-    Warns when any entry needed clamping; downstream thresholds are then
-    driven by the floor rather than a genuine variance estimate.
-    """
-    d = np.diag(gamma).copy()
-    small = d < DIAG_FLOOR
-    if np.any(small):
-        # Reached through _entry_thresholds and a public function; point at
-        # the public function's caller.
-        warnings.warn(
-            f"{int(small.sum())} covariance diagonal entries below {DIAG_FLOOR:g} "
-            "were clamped for threshold computation",
-            RuntimeWarning,
-            stacklevel=4,
-        )
-        d[small] = DIAG_FLOOR
-    return d
+def _clamp_notes(arr: np.ndarray) -> list:
+    # The EstimateResult note for a diagonal that _entry_scale floors.
+    low = float(np.diag(arr).min())
+    if low >= DIAG_FLOOR:
+        return []
+    return [
+        f"covariance diagonal entries as low as {low:.3g} were clamped "
+        f"to {DIAG_FLOOR:g} for threshold computation"
+    ]
 
 
-def _entry_thresholds(arr: np.ndarray, lam: float, n: int) -> np.ndarray:
-    # Kernel behind entry_thresholds, threshold_matrix and lambda_grid, on a
-    # matrix the caller has validated.
-    if not (lam >= 0):
-        raise ValueError(f"lam must be nonnegative, got {lam!r}")
+def _entry_scale(arr: np.ndarray, n: int) -> np.ndarray:
+    # The lam-free scale sqrt(d_i d_j log(p) / n) of a validated covariance,
+    # d its diagonal floored at DIAG_FLOOR; thresholding at lam uses
+    # lam * scale, so a whole grid shares one scale.  The floor warns once,
+    # pointing at the caller of the public function that called here.
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    d = clamped_diagonal(arr)
-    return lam * np.sqrt(np.outer(d, d) * (math.log(arr.shape[0]) / n))
+    diag = np.diag(arr)
+    clamped = int((diag < DIAG_FLOOR).sum())
+    if clamped:
+        warnings.warn(
+            f"{clamped} covariance diagonal entries below {DIAG_FLOOR:g} "
+            "were clamped for threshold computation",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    d = np.maximum(diag, DIAG_FLOOR)
+    return np.sqrt(np.outer(d, d) * (math.log(arr.shape[0]) / n))
 
 
-def entry_thresholds(gamma, lam: float, n: int) -> np.ndarray:
-    """Entry-dependent threshold matrix ``lam_ij``.
-
-    Parameters
-    ----------
-    gamma : array_like
-        Symmetric covariance estimate; its (floored) diagonal sets the
-        entry scales.
-    lam : float
-        Scale-free tuning parameter, nonnegative.
-    n : int
-        Sample count behind ``gamma``; enters through ``log(p) / n``.
-    """
-    return _entry_thresholds(_as_matrix(gamma, "covariance", square=True), lam, n)
+def _threshold_at(rule, arr, thresholds, threshold_diagonal) -> np.ndarray:
+    # Kernel behind threshold_matrix and the tuning grid loop.
+    out = _apply_rule(rule, arr, thresholds)
+    if not threshold_diagonal:
+        np.fill_diagonal(out, np.diag(arr))
+    return out
 
 
 def threshold_matrix(
@@ -197,7 +188,6 @@ def threshold_matrix(
     default.
     """
     arr = _as_matrix(gamma, "covariance", square=True)
-    out = _apply_rule(rule, arr, _entry_thresholds(arr, lam, n))
-    if not threshold_diagonal:
-        np.fill_diagonal(out, np.diag(arr))
-    return out
+    if not (lam >= 0):
+        raise ValueError(f"lam must be nonnegative, got {lam!r}")
+    return _threshold_at(rule, arr, lam * _entry_scale(arr, n), threshold_diagonal)

@@ -23,10 +23,11 @@ from .compdata import CompositionMatrix, _as_matrix, clr_transform
 from .metrics import min_eigenvalue
 from .mom import default_block_count, mom_covariance, sample_covariance
 from .threshold import (
-    DIAG_FLOOR,
     ThresholdRule,
-    _entry_thresholds,
+    _clamp_notes,
+    _entry_scale,
     _float_text,
+    _threshold_at,
     threshold_matrix,
 )
 
@@ -231,7 +232,7 @@ def lambda_grid(gamma, n: int, grid_size: int = 50) -> np.ndarray:
     arr = _as_matrix(gamma, "covariance", square=True)
     if int(grid_size) < 2:
         raise ValueError(f"grid_size must be >= 2, got {grid_size}")
-    scale = _entry_thresholds(arr, 1.0, n)
+    scale = _entry_scale(arr, n)
     off = ~np.eye(arr.shape[0], dtype=bool)
     lam_max = float((np.abs(arr)[off] / scale[off]).max())
     if lam_max <= 0.0:
@@ -243,7 +244,16 @@ def _as_grid(grid) -> np.ndarray:
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 1 or grid.size < 1:
         raise ValueError("grid must be a nonempty 1-d array")
+    if not np.all(grid >= 0):
+        raise ValueError(f"grid values must be nonnegative, got {float(grid.min())!r}")
     return grid
+
+
+def _threshold_grid(arr, scale, grid, config: EstimatorConfig):
+    # The estimate at each grid value, from one entry scale; the covariance
+    # and the grid are validated.
+    for lam in grid:
+        yield _threshold_at(config.rule, arr, lam * scale, config.threshold_diagonal)
 
 
 def make_folds(n: int, folds: int, seed: int) -> list:
@@ -294,16 +304,10 @@ def cv_select(W, config: EstimatorConfig, *, grid=None):
         train_mask[test_idx] = False
         train = values[train_mask]
         test = values[test_idx]
-        gamma_train = _subset_covariance(train, config)
+        gamma_train = _as_matrix(_subset_covariance(train, config), "covariance", square=True)
         gamma_test = _subset_covariance(test, config)
-        for g, lam in enumerate(grid):
-            omega = threshold_matrix(
-                gamma_train,
-                float(lam),
-                train.shape[0],
-                config.rule,
-                threshold_diagonal=config.threshold_diagonal,
-            )
+        scale = _entry_scale(gamma_train, train.shape[0])
+        for g, omega in enumerate(_threshold_grid(gamma_train, scale, grid, config)):
             diff = omega - gamma_test
             errors[v, g] = float((diff * diff).sum())
     mean_errors = errors.mean(axis=0)
@@ -323,18 +327,11 @@ def pd_floor_scan(gamma, grid, n: int, config: EstimatorConfig):
     harder moves the estimate toward its diagonal); a warning reports any
     exception observed.
     """
+    arr = _as_matrix(gamma, "covariance", square=True)
     grid = _as_grid(grid)
+    omegas = _threshold_grid(arr, _entry_scale(arr, n), grid, config)
+    qualifies = np.array([min_eigenvalue(omega) > PD_TOL for omega in omegas])
     notes = []
-    qualifies = np.zeros(grid.size, dtype=bool)
-    for g, lam in enumerate(grid):
-        omega = threshold_matrix(
-            gamma,
-            float(lam),
-            n,
-            config.rule,
-            threshold_diagonal=config.threshold_diagonal,
-        )
-        qualifies[g] = min_eigenvalue(omega) > PD_TOL
     if not qualifies.any():
         notes.append(
             "no grid value produced a positive definite estimate; "
@@ -379,13 +376,7 @@ def _estimate_from_matrix(values: np.ndarray, config: EstimatorConfig) -> Estima
     n, p = values.shape
     m = _effective_block_count(config, p, n)
     gamma = _subset_covariance(values, config)
-    notes = []
-    diag_min = float(np.diag(gamma).min())
-    if diag_min < DIAG_FLOOR:
-        notes.append(
-            f"covariance diagonal entries as low as {diag_min:.3g} were clamped "
-            f"to {DIAG_FLOOR:g} for threshold computation"
-        )
+    notes = _clamp_notes(gamma)
     grid = lambda_grid(gamma, n, config.grid_size)
     if config.enforce_pd:
         grid, pd_notes = pd_floor_scan(gamma, grid, n, config)

@@ -30,7 +30,6 @@ PUBLIC = [
     "clr_transform",
     "cv_select",
     "default_block_count",
-    "entry_thresholds",
     "estimate",
     "estimate_from_latent",
     "extract_edges",

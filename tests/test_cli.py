@@ -254,6 +254,21 @@ class TestSimulateCommand:
         assert excinfo.value.code == 2
         assert "--case" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--p", "15"], "p must be an even integer >= 4, got 15"),
+            (["--p", "2"], "p must be an even integer >= 4, got 2"),
+            (["--n", "1"], "composition matrix needs at least 2 samples, got n=1"),
+        ],
+        ids=["odd-p", "small-p", "one-sample"],
+    )
+    def test_bad_size_is_a_usage_error(self, tmp_path, capsys, extra, message):
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--case", "1", "--out", str(out)] + extra) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestBenchmarkCommand:
     ARGS = [
@@ -299,6 +314,10 @@ class TestBenchmarkCommand:
         assert main(["benchmark", "--estimators", "ridge"] + out) == EXIT_USAGE
         assert main(["benchmark", "--cases", "1", "--replications", "0"] + out) == EXIT_USAGE
         capsys.readouterr()
+        args = ["benchmark", "--p", "15", "--cases", "1", "--replications", "1"]
+        assert main(args + out) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: p must be an even integer >= 4, got 15\n"
+        assert not (tmp_path / "b").exists()
 
 
 class TestStabilityCommand:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rcec import ThresholdRule, apply_rule, entry_thresholds, threshold_matrix
+from rcec import ThresholdRule, apply_rule, threshold_matrix
 
 RULES = [
     ThresholdRule.soft(),
@@ -165,26 +165,36 @@ class TestRuleProperties:
         assert ratio == pytest.approx(3.7 / 2.7, rel=1e-9)
 
 
+def entry_thresholds(gamma, lam, n):
+    # The entry thresholds lam_ij, read off soft thresholding of the whole
+    # matrix: an entry with |z| >= lam_ij comes back with |z| - lam_ij.
+    out = threshold_matrix(gamma, lam, n, ThresholdRule.soft(), threshold_diagonal=True)
+    return np.abs(gamma) - np.abs(out)
+
+
 class TestEntryThresholds:
     def test_hand_value(self):
-        gamma = np.diag([4.0, 4.0])
+        gamma = np.full((2, 2), 4.0)
         t = entry_thresholds(gamma, 0.5, n=100)
         assert t[0, 1] == pytest.approx(0.5 * np.sqrt(16.0 * np.log(2) / 100))
+        assert t[0, 0] == pytest.approx(t[0, 1])
 
     def test_zero_lambda(self):
-        np.testing.assert_array_equal(
-            entry_thresholds(np.eye(3), 0.0, n=10), np.zeros((3, 3))
-        )
+        gamma = np.eye(3)
+        for rule in (ThresholdRule.soft(), ThresholdRule.adaptive_lasso(2.0), ThresholdRule.scad()):
+            out = threshold_matrix(gamma, 0.0, 10, rule, threshold_diagonal=True)
+            np.testing.assert_array_equal(out, gamma)
 
     def test_symmetric_output(self):
         rng = np.random.default_rng(0)
         a = rng.normal(size=(4, 4))
         gamma = a @ a.T
-        t = entry_thresholds(gamma, 0.7, n=25)
-        np.testing.assert_array_equal(t, t.T)
+        gamma = (gamma + gamma.T) / 2
+        out = threshold_matrix(gamma, 0.7, 25, ThresholdRule.soft(), threshold_diagonal=True)
+        np.testing.assert_array_equal(out, out.T)
 
     def test_uses_log_p_over_n(self):
-        gamma = np.eye(4)
+        gamma = np.ones((4, 4))
         t = entry_thresholds(gamma, 1.0, n=100)
         assert t[0, 1] == pytest.approx(np.sqrt(np.log(4) / 100))
 
@@ -192,16 +202,21 @@ class TestEntryThresholds:
         gamma = np.array([[1.0, 0.5], [0.5, -2.0]])
         with pytest.warns(RuntimeWarning, match="clamped"):
             t = entry_thresholds(gamma, 1.0, n=1)
-        assert t[1, 1] == pytest.approx(1e-12 * np.sqrt(np.log(2)))
+        assert t[1, 1] == pytest.approx(1e-12 * np.sqrt(np.log(2)), abs=1e-15)
         assert t[0, 1] == pytest.approx(np.sqrt(1e-12 * np.log(2)))
 
     def test_rejects_bad_input(self):
+        soft = ThresholdRule.soft()
         with pytest.raises(ValueError, match="square"):
-            entry_thresholds(np.ones((2, 3)), 1.0, n=10)
+            threshold_matrix(np.ones((2, 3)), 1.0, 10, soft)
         with pytest.raises(ValueError, match="nonnegative"):
-            entry_thresholds(np.eye(2), -1.0, n=10)
+            threshold_matrix(np.eye(2), -1.0, 10, soft)
+        with pytest.raises(ValueError, match="nonnegative"):
+            threshold_matrix(np.eye(2), float("nan"), 10, soft)
         with pytest.raises(ValueError, match="non-finite"):
-            entry_thresholds(np.array([[np.inf, 0], [0, 1.0]]), 1.0, n=10)
+            threshold_matrix(np.array([[np.inf, 0], [0, 1.0]]), 1.0, 10, soft)
+        with pytest.raises(ValueError, match="n must be"):
+            threshold_matrix(np.eye(2), 1.0, 0, soft)
 
 
 class TestThresholdMatrix:

@@ -1,11 +1,14 @@
 """Grid construction, cross-validation, PD floor, and the full pipeline."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from rcec import (
+    CompositionMatrix,
     EstimatorConfig,
     ThresholdRule,
     basis_to_composition,
@@ -15,6 +18,7 @@ from rcec import (
     estimate_from_latent,
     lambda_grid,
     make_folds,
+    min_eigenvalue,
     sample_case,
     threshold_matrix,
 )
@@ -284,6 +288,127 @@ class TestPdFloor:
         ok = restricted[0]
         scale = np.sqrt(np.log(3) / 40)
         assert 1.0 - (2.0 - ok * scale) > PD_TOL  # smallest kept value works
+
+
+# Reference for the grid loop: one threshold_matrix call per tuning value.
+def _reference_pd_floor_scan(gamma, grid, n, config):
+    qualifies = np.array(
+        [
+            min_eigenvalue(
+                threshold_matrix(
+                    gamma, float(lam), n, config.rule,
+                    threshold_diagonal=config.threshold_diagonal,
+                )
+            )
+            > PD_TOL
+            for lam in grid
+        ]
+    )
+    if not qualifies.any():
+        return grid, [
+            "no grid value produced a positive definite estimate; using the full grid"
+        ]
+    first = int(np.flatnonzero(qualifies)[0])
+    notes = []
+    if not qualifies[first:].all():
+        notes.append(
+            "positive definiteness is not monotone over the grid; "
+            "the restricted grid contains non-definite candidates"
+        )
+    return grid[first:], notes
+
+
+def _reference_cv_curve(values, config, grid):
+    n = values.shape[0]
+    errors = np.zeros((config.folds, grid.size))
+    for v, fold in enumerate(make_folds(n, config.folds, config.seed)):
+        mask = np.ones(n, dtype=bool)
+        mask[fold] = False
+        g_tr = _subset_covariance(values[mask], config)
+        g_te = _subset_covariance(values[fold], config)
+        for g, lam in enumerate(grid):
+            omega = threshold_matrix(
+                g_tr, float(lam), int(mask.sum()), config.rule,
+                threshold_diagonal=config.threshold_diagonal,
+            )
+            diff = omega - g_te
+            errors[v, g] = float((diff * diff).sum())
+    return np.column_stack([grid, errors.mean(axis=0)])
+
+
+RULES = [ThresholdRule.soft(), ThresholdRule.adaptive_lasso(2.0), ThresholdRule.scad(3.7)]
+
+
+class TestGridLoop:
+    # Median-of-means on small folds can return near-zero variances; the
+    # clamped path is part of what is compared.
+    @pytest.mark.filterwarnings("ignore:.*diagonal entries below")
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(10, 30),
+        p=st.integers(2, 6),
+        folds=st.integers(2, 5),
+        rule=st.sampled_from(RULES),
+        threshold_diagonal=st.booleans(),
+        estimator=st.sampled_from(["rcec", "coat"]),
+        grid_size=st.integers(2, 12),
+        stretch=st.floats(0.5, 3.0),
+    )
+    def test_matches_one_threshold_matrix_call_per_value(
+        self, seed, n, p, folds, rule, threshold_diagonal, estimator, grid_size, stretch
+    ):
+        # Heavy-tailed, correlated data; the grid is stretched past the
+        # all-zeroing value or shrunk below it.
+        rng = np.random.default_rng(seed)
+        values = rng.standard_t(3, size=(n, p)) @ rng.normal(size=(p, p))
+        config = EstimatorConfig(
+            estimator=estimator, rule=rule, folds=folds,
+            threshold_diagonal=threshold_diagonal, seed=seed % 1000,
+        )
+        gamma = _subset_covariance(values, config)
+        grid = lambda_grid(gamma, n, grid_size) * stretch
+
+        restricted, notes = pd_floor_scan(gamma, grid, n, config)
+        ref_restricted, ref_notes = _reference_pd_floor_scan(gamma, grid, n, config)
+        assert np.array_equal(restricted, ref_restricted)
+        assert notes == ref_notes
+
+        lam, curve = cv_select(values, config, grid=grid)
+        ref_curve = _reference_cv_curve(values, config, grid)
+        assert np.array_equal(curve, ref_curve)
+        best = np.flatnonzero(ref_curve[:, 1] == ref_curve[:, 1].min())[-1]
+        assert lam == grid[best]
+
+    @pytest.mark.parametrize("bad", [-0.5, float("nan")])
+    def test_negative_or_nan_grid_value_rejected(self, bad):
+        x = _composition(n=40, p=6, seed=2)
+        w = clr_transform(x).values
+        cfg = EstimatorConfig(seed=4)
+        gamma = _subset_covariance(w, cfg)
+        grid = np.array([0.0, 1.0, bad, 2.0])
+        with pytest.raises(ValueError, match="nonnegative"):
+            cv_select(w, cfg, grid=grid)
+        with pytest.raises(ValueError, match="nonnegative"):
+            pd_floor_scan(gamma, grid, 40, cfg)
+
+    @pytest.mark.parametrize("estimator", ["rcec", "coat"])
+    def test_clamp_warns_once_per_thresholded_covariance(self, estimator):
+        # All-equal rows have zero clr variance, so every covariance the fit
+        # thresholds needs the diagonal floor: the full-data one in the grid,
+        # the PD scan and the final fit, and one per CV fold.
+        x = CompositionMatrix(np.tile([0.1, 0.2, 0.3, 0.15, 0.05, 0.2], (40, 1)))
+        config = EstimatorConfig(estimator=estimator, grid_size=50, folds=5)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = estimate(x, config)
+        clamps = [w for w in caught if "diagonal entries below" in str(w.message)]
+        assert len(clamps) == config.folds + 3
+        assert all(w.category is RuntimeWarning for w in clamps)
+        low = float(np.diag(result.gamma).min())
+        assert result.warnings[0] == (
+            f"covariance diagonal entries as low as {low:.3g} were clamped "
+            "to 1e-12 for threshold computation"
+        )
 
 
 class TestEstimatePipeline:
