@@ -19,7 +19,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -90,13 +90,18 @@ def _full(value: float) -> str:
     return repr(float(value))
 
 
+def _write(path: Path, text: str) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+
+
 def write_matrix_csv(path: Path, taxa, matrix: np.ndarray) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([""] + list(taxa))
     for name, row in zip(taxa, matrix):
         writer.writerow([name] + [_full(v) for v in row])
-    path.write_text(buf.getvalue())
+    _write(path, buf.getvalue())
 
 
 def write_samples_csv(path: Path, taxa, matrix: np.ndarray) -> None:
@@ -105,11 +110,11 @@ def write_samples_csv(path: Path, taxa, matrix: np.ndarray) -> None:
     writer.writerow(list(taxa))
     for row in matrix:
         writer.writerow([_full(v) for v in row])
-    path.write_text(buf.getvalue())
+    _write(path, buf.getvalue())
 
 
 def write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    _write(path, json.dumps(payload, indent=2) + "\n")
 
 
 def _edge_payload(edge, taxa, omega, occurrences=None):
@@ -135,74 +140,29 @@ def _edge_payload(edge, taxa, omega, occurrences=None):
 # ---------------------------------------------------------------------------
 # configuration plumbing
 
-def add_config_arguments(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("estimator options")
-    group.add_argument("--config", metavar="FILE", help="flat key = value config file")
-    group.add_argument(
-        "--estimator",
-        choices=("rcec", "coat"),
-        help="covariance estimator (default rcec)",
-    )
-    group.add_argument(
-        "--rule",
-        metavar="RULE",
-        help="thresholding rule: soft, alasso:<eta> or scad:<a> (default soft)",
-    )
-    group.add_argument("--folds", type=int, metavar="V", help="CV fold count (default 5)")
-    group.add_argument(
-        "--grid-size", type=int, metavar="G", help="tuning grid size (default 50)"
-    )
-    group.add_argument(
-        "--L", type=float, metavar="L", help="block-count aggressiveness (default 1)"
-    )
-    group.add_argument(
-        "--no-pd",
-        action="store_true",
-        help="skip the positive-definiteness grid restriction",
-    )
-    group.add_argument(
-        "--threshold-diagonal",
-        action="store_true",
-        help="threshold variance entries as well",
-    )
-    group.add_argument("--seed", type=int, metavar="S", help="seed (default 0)")
+_CONFIG_FIELDS = frozenset(f.name for f in fields(EstimatorConfig))
 
 
 def build_config(args) -> EstimatorConfig:
+    given = vars(args)
+    updates = {key: value for key, value in given.items() if key in _CONFIG_FIELDS}
     try:
-        if args.config:
-            try:
-                text = Path(args.config).read_text()
-            except OSError as exc:
-                raise ValueError(str(exc)) from None
-            config = EstimatorConfig.from_kv(text)
+        if given.get("config"):
+            config = EstimatorConfig.from_kv(Path(given["config"]).read_text())
         else:
             config = EstimatorConfig()
-        updates = {}
-        if args.estimator is not None:
-            updates["estimator"] = args.estimator
-        if args.rule is not None:
-            updates["rule"] = ThresholdRule.parse(args.rule)
-        if args.folds is not None:
-            updates["folds"] = args.folds
-        if args.grid_size is not None:
-            updates["grid_size"] = args.grid_size
-        if args.L is not None:
-            updates["L"] = args.L
-        if args.no_pd:
-            updates["enforce_pd"] = False
-        if args.threshold_diagonal:
-            updates["threshold_diagonal"] = True
-        if args.seed is not None:
-            updates["seed"] = args.seed
-        if updates:
-            config = replace(config, **updates)
-        return config
-    except ValueError as exc:
+        if "rule" in updates:
+            updates["rule"] = ThresholdRule.parse(updates["rule"])
+        return replace(config, **updates)
+    except (OSError, ValueError) as exc:
         raise UsageError(f"bad configuration: {exc}") from None
 
 
 def _load_composition(args) -> tuple:
+    if args.counts and not 0 < args.zero_replacement < np.inf:
+        raise UsageError(
+            f"--zero-replacement must be positive and finite, got {args.zero_replacement!r}"
+        )
     taxa, data = read_table(args.input)
     if args.counts:
         x = close_counts(data, args.zero_replacement)
@@ -222,7 +182,6 @@ def cmd_estimate(args) -> int:
 
     edges = extract_edges(result.omega)
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     write_matrix_csv(outdir / "omega.csv", taxa, result.omega)
     write_json(
         outdir / "edges.json",
@@ -269,8 +228,6 @@ def cmd_simulate(args) -> int:
     x = basis_to_composition(y)
     taxa = [f"taxon_{j + 1}" for j in range(args.p)]
     out = Path(args.out)
-    if out.parent and not out.parent.exists():
-        out.parent.mkdir(parents=True, exist_ok=True)
     write_samples_csv(out, taxa, x.values)
     meta = Path(str(out) + ".meta.json")
     write_json(
@@ -321,13 +278,16 @@ def cmd_benchmark(args) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    # Every arm cross-validates; reject a sample size the folds cannot split
+    # before the first fit.
+    if spec.n < 2 * config.folds:
+        raise UsageError(f"need --n >= 2 * folds = {2 * config.folds}, got {spec.n}")
     records = run_benchmark(spec, config)
     rows = summarize(records, spec)
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "results.csv").write_text(rows_to_csv(rows))
-    (outdir / "results.md").write_text(rows_to_markdown(rows))
-    (outdir / "losses.csv").write_text(records_to_csv(records))
+    _write(outdir / "results.csv", rows_to_csv(rows))
+    _write(outdir / "results.md", rows_to_markdown(rows))
+    _write(outdir / "losses.csv", records_to_csv(records))
     print(f"wrote {outdir / 'results.csv'}, {outdir / 'results.md'}, {outdir / 'losses.csv'}")
     return EXIT_OK
 
@@ -372,8 +332,6 @@ def cmd_stability(args) -> int:
         },
     }
     out = Path(args.out)
-    if out.parent and not out.parent.exists():
-        out.parent.mkdir(parents=True, exist_ok=True)
     write_json(out, payload)
     print(f"wrote {out}")
     return EXIT_OK
@@ -382,26 +340,74 @@ def cmd_stability(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="rcec",
-        description="Robust sparse covariance estimation for compositional data.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_est = sub.add_parser("estimate", help="fit a covariance network from a table")
-    p_est.add_argument("input", help="CSV with a taxon header row, one sample per row")
-    p_est.add_argument("--counts", action="store_true", help="input holds counts, not proportions")
-    p_est.add_argument(
+def _input_options() -> argparse.ArgumentParser:
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("input", help="CSV with a taxon header row, one sample per row")
+    parent.add_argument("--counts", action="store_true", help="input holds counts, not proportions")
+    parent.add_argument(
         "--zero-replacement",
         type=float,
         default=DEFAULT_ZERO_REPLACEMENT,
         metavar="Z",
         help="pseudo-count for zero counts (default 0.5)",
     )
-    p_est.add_argument("--out", default="rcec_out", metavar="DIR", help="output directory")
-    add_config_arguments(p_est)
-    p_est.set_defaults(func=cmd_estimate)
+    return parent
+
+
+def _estimator_options() -> argparse.ArgumentParser:
+    # Each dest is the EstimatorConfig field the flag sets; an absent flag
+    # stays out of the namespace, so a value from --config survives.
+    parent = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    group = parent.add_argument_group("estimator options")
+    group.add_argument("--config", metavar="FILE", help="flat key = value config file")
+    group.add_argument(
+        "--estimator",
+        choices=("rcec", "coat"),
+        help="covariance estimator (default rcec)",
+    )
+    group.add_argument(
+        "--rule",
+        metavar="RULE",
+        help="thresholding rule: soft, alasso:<eta> or scad:<a> (default soft)",
+    )
+    group.add_argument("--folds", type=int, metavar="V", help="CV fold count (default 5)")
+    group.add_argument(
+        "--grid-size", type=int, metavar="G", help="tuning grid size (default 50)"
+    )
+    group.add_argument(
+        "--L", type=float, metavar="L", help="block-count aggressiveness (default 1)"
+    )
+    group.add_argument(
+        "--no-pd",
+        dest="enforce_pd",
+        action="store_false",
+        help="skip the positive-definiteness grid restriction",
+    )
+    group.add_argument(
+        "--threshold-diagonal",
+        action="store_true",
+        help="threshold variance entries as well",
+    )
+    group.add_argument("--seed", type=int, metavar="S", help="seed (default 0)")
+    return parent
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="rcec",
+        description="Robust sparse covariance estimation for compositional data.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    inputs = _input_options()
+    estimator = _estimator_options()
+
+    # Each command's own options sit in a parent listed before the estimator
+    # options, so the usage line keeps them first.
+    own = argparse.ArgumentParser(add_help=False)
+    own.add_argument("--out", default="rcec_out", metavar="DIR", help="output directory")
+    sub.add_parser(
+        "estimate", help="fit a covariance network from a table", parents=[inputs, own, estimator]
+    ).set_defaults(func=cmd_estimate)
 
     p_sim = sub.add_parser("simulate", help="draw a synthetic composition table")
     p_sim.add_argument("--case", type=int, required=True, choices=sorted(CASES), help="scenario 1-4")
@@ -411,43 +417,36 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", default="samples.csv", metavar="FILE", help="output CSV")
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_ben = sub.add_parser("benchmark", help="replicated loss tables on synthetic data")
-    p_ben.add_argument("--cases", default="1,2,3,4", metavar="LIST", help="cases, e.g. 1,2 (default all)")
-    p_ben.add_argument("--p", default="50,100,200", metavar="LIST", help="dimensions (default 50,100,200)")
-    p_ben.add_argument("--n", type=int, default=100, help="sample count (default 100)")
-    p_ben.add_argument(
+    own = argparse.ArgumentParser(add_help=False)
+    own.add_argument("--cases", default="1,2,3,4", metavar="LIST", help="cases, e.g. 1,2 (default all)")
+    own.add_argument("--p", default="50,100,200", metavar="LIST", help="dimensions (default 50,100,200)")
+    own.add_argument("--n", type=int, default=100, help="sample count (default 100)")
+    own.add_argument(
         "--replications", type=int, default=100, metavar="R", help="replications per cell (default 100)"
     )
-    p_ben.add_argument(
+    own.add_argument(
         "--estimators",
         default="rcec,coat",
         metavar="LIST",
         help="arms from rcec,coat,oracle (default rcec,coat)",
     )
-    p_ben.add_argument("--out", default="bench_out", metavar="DIR", help="output directory")
-    add_config_arguments(p_ben)
-    p_ben.set_defaults(func=cmd_benchmark)
+    own.add_argument("--out", default="bench_out", metavar="DIR", help="output directory")
+    sub.add_parser(
+        "benchmark", help="replicated loss tables on synthetic data", parents=[own, estimator]
+    ).set_defaults(func=cmd_benchmark)
 
-    p_sta = sub.add_parser("stability", help="bootstrap stability of estimated edges")
-    p_sta.add_argument("input", help="CSV with a taxon header row, one sample per row")
-    p_sta.add_argument("--counts", action="store_true", help="input holds counts, not proportions")
-    p_sta.add_argument(
-        "--zero-replacement",
-        type=float,
-        default=DEFAULT_ZERO_REPLACEMENT,
-        metavar="Z",
-        help="pseudo-count for zero counts (default 0.5)",
-    )
-    p_sta.add_argument("--bootstrap", "-B", type=int, default=100, metavar="B", help="replicates (default 100)")
-    p_sta.add_argument("--retain", type=int, default=50, metavar="K", help="stability cutoff (default 50)")
-    p_sta.add_argument(
+    own = argparse.ArgumentParser(add_help=False)
+    own.add_argument("--bootstrap", "-B", type=int, default=100, metavar="B", help="replicates (default 100)")
+    own.add_argument("--retain", type=int, default=50, metavar="K", help="stability cutoff (default 50)")
+    own.add_argument(
         "--reuse-lambda",
         action="store_true",
         help="reuse the baseline tuning value instead of re-cross-validating",
     )
-    p_sta.add_argument("--out", default="stability.json", metavar="FILE", help="output JSON")
-    add_config_arguments(p_sta)
-    p_sta.set_defaults(func=cmd_stability)
+    own.add_argument("--out", default="stability.json", metavar="FILE", help="output JSON")
+    sub.add_parser(
+        "stability", help="bootstrap stability of estimated edges", parents=[inputs, own, estimator]
+    ).set_defaults(func=cmd_stability)
     return parser
 
 

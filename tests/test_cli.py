@@ -5,8 +5,10 @@ plus one subprocess check that the installed module entry point works.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -146,6 +148,15 @@ class TestEstimateCommand:
         assert rc == EXIT_OK
         assert (outdir / "omega.csv").exists()
 
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_bad_zero_replacement_is_a_usage_error(self, tmp_path, capsys, value):
+        path = tmp_path / "counts.csv"
+        path.write_text("a,b\n5,3\n1,0\n2,2\n1,3\n")
+        rc = main(["estimate", str(path), "--counts", "--zero-replacement", value])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"error: --zero-replacement must be positive and finite, got {float(value)!r}\n"
+
     def test_counts_without_flag_is_a_data_error(self, tmp_path, capsys):
         path = tmp_path / "counts.csv"
         path.write_text("a,b\n5,3\n1,2\n2,2\n1,3\n")
@@ -206,6 +217,18 @@ class TestEstimateCommand:
         assert report["config"]["grid_size"] == 15  # flag wins
         assert report["config"]["seed"] == 3
         assert report["config"]["folds"] == 4
+
+        # An absent boolean flag leaves the file's value alone.
+        cfg.write_text("enforce_pd = false\nthreshold_diagonal = true\n")
+        assert run_estimate(samples_csv, outdir, "--config", str(cfg)) == EXIT_OK
+        report = json.loads((outdir / "report.json").read_text())
+        assert report["config"]["enforce_pd"] is False
+        assert report["config"]["threshold_diagonal"] is True
+
+        cfg.write_text("enforce_pd = true\n")
+        assert run_estimate(samples_csv, outdir, "--config", str(cfg), "--no-pd") == EXIT_OK
+        report = json.loads((outdir / "report.json").read_text())
+        assert report["config"]["enforce_pd"] is False
 
     def test_bad_config_file_is_a_usage_error(self, samples_csv, tmp_path, capsys):
         cfg = tmp_path / "rcec.conf"
@@ -317,6 +340,12 @@ class TestBenchmarkCommand:
         args = ["benchmark", "--p", "15", "--cases", "1", "--replications", "1"]
         assert main(args + out) == EXIT_USAGE
         assert capsys.readouterr().err == "error: p must be an even integer >= 4, got 15\n"
+        # Every arm cross-validates, so n below 2 * folds fails before any fit.
+        args = ["benchmark", "--n", "6", "--p", "4", "--cases", "1", "--replications", "1"]
+        assert main(args + out) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: need --n >= 2 * folds = 10, got 6\n"
+        assert main(args + ["--folds", "4"] + out) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: need --n >= 2 * folds = 8, got 6\n"
         assert not (tmp_path / "b").exists()
 
 
@@ -396,6 +425,8 @@ class TestExitCodes:
 
 def test_module_entry_point_runs_in_a_subprocess(tmp_path):
     out = tmp_path / "samples.csv"
+    # The child imports the rcec the tests imported, installed or from a checkout.
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     proc = subprocess.run(
         [
             sys.executable, "-m", "rcec", "simulate",
@@ -403,6 +434,7 @@ def test_module_entry_point_runs_in_a_subprocess(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
