@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .compdata import _check_seed
 from .metrics import (
     frobenius_loss,
     matrix_l1_loss,
@@ -65,8 +66,7 @@ class BenchmarkSpec:
                 raise ValueError(
                     f"unknown estimator {e!r}; expected one of {BENCH_ESTIMATORS}"
                 )
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -88,13 +88,7 @@ def _cell_seeds(seed: int, case: int, p: int, rep: int):
     return data_seed, fold_seed
 
 
-def run_benchmark(
-    spec: BenchmarkSpec,
-    config: EstimatorConfig | None = None,
-    *,
-    omega0_fn=build_omega0,
-    workers: int | None = None,
-) -> list:
+def run_benchmark(spec: BenchmarkSpec, config: EstimatorConfig | None = None) -> list:
     """Run all replications and return records in deterministic order."""
     base_config = config if config is not None else EstimatorConfig()
     tasks = [
@@ -103,7 +97,7 @@ def run_benchmark(
         for p in spec.p_values
         for rep in range(spec.replications)
     ]
-    omega_truth = {p: omega0_fn(p) for p in spec.p_values}
+    omega_truth = {p: build_omega0(p) for p in spec.p_values}
 
     def run_cell(task):
         case, p, rep = task
@@ -134,7 +128,7 @@ def run_benchmark(
             )
         return records
 
-    nested = ordered_map(run_cell, tasks, workers=workers)
+    nested = ordered_map(run_cell, tasks)
     return [record for cell in nested for record in cell]
 
 

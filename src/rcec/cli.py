@@ -91,8 +91,11 @@ def _full(value: float) -> str:
 
 
 def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from None
 
 
 def write_matrix_csv(path: Path, taxa, matrix: np.ndarray) -> None:
@@ -354,17 +357,19 @@ def _input_options() -> argparse.ArgumentParser:
     return parent
 
 
-def _estimator_options() -> argparse.ArgumentParser:
+def _estimator_options(with_estimator: bool) -> argparse.ArgumentParser:
     # Each dest is the EstimatorConfig field the flag sets; an absent flag
     # stays out of the namespace, so a value from --config survives.
+    # benchmark leaves out --estimator: its arms come from --estimators.
     parent = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     group = parent.add_argument_group("estimator options")
     group.add_argument("--config", metavar="FILE", help="flat key = value config file")
-    group.add_argument(
-        "--estimator",
-        choices=("rcec", "coat"),
-        help="covariance estimator (default rcec)",
-    )
+    if with_estimator:
+        group.add_argument(
+            "--estimator",
+            choices=("rcec", "coat"),
+            help="covariance estimator (default rcec)",
+        )
     group.add_argument(
         "--rule",
         metavar="RULE",
@@ -399,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     inputs = _input_options()
-    estimator = _estimator_options()
+    estimator = _estimator_options(with_estimator=True)
 
     # Each command's own options sit in a parent listed before the estimator
     # options, so the usage line keeps them first.
@@ -431,8 +436,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="arms from rcec,coat,oracle (default rcec,coat)",
     )
     own.add_argument("--out", default="bench_out", metavar="DIR", help="output directory")
+    # No abbreviations: --estimator would otherwise be read as --estimators.
     sub.add_parser(
-        "benchmark", help="replicated loss tables on synthetic data", parents=[own, estimator]
+        "benchmark",
+        help="replicated loss tables on synthetic data",
+        parents=[own, _estimator_options(with_estimator=False)],
+        allow_abbrev=False,
     ).set_defaults(func=cmd_benchmark)
 
     own = argparse.ArgumentParser(add_help=False)

@@ -50,6 +50,15 @@ def _as_matrix(
     return arr
 
 
+def _check_seed(seed) -> int:
+    """The package's one seed check: a nonnegative integer, not a bool."""
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    return int(seed)
+
+
 @dataclass(frozen=True)
 class _Table:
     """Validated samples-by-components table (at least 2 of each)."""
@@ -142,7 +151,7 @@ def close_counts(
         Nonnegative count table; every row needs a positive entry.
     zero_replacement : float
         Pseudo-count substituted for exact zeros before closure.  Must be
-        strictly positive.
+        strictly positive and finite.
 
     Returns
     -------
@@ -151,9 +160,9 @@ def close_counts(
     """
     if not isinstance(counts, CountMatrix):
         counts = CountMatrix(counts)
-    if not (zero_replacement > 0):
+    if not 0 < zero_replacement < np.inf:
         raise ValueError(
-            f"zero_replacement must be strictly positive, got {zero_replacement!r}"
+            f"zero_replacement must be strictly positive and finite, got {zero_replacement!r}"
         )
     filled = np.where(counts.values == 0, zero_replacement, counts.values)
     closed = filled / filled.sum(axis=1, keepdims=True)

@@ -71,20 +71,18 @@ class SupportMetrics:
     fpr_degenerate: bool
 
 
-def support_metrics(estimate, truth, zero_tol: float = 0.0) -> SupportMetrics:
+def support_metrics(estimate, truth) -> SupportMetrics:
     """True/false positive rates and sign agreement of an estimated support.
 
-    Entries of ``estimate`` with ``|value| > zero_tol`` count as detected;
-    ``truth`` entries count as nonzero exactly.  ``sign_consistent`` is true
-    when every pair i < j matches in sign under the convention sgn(0) = 0.
+    An entry of either matrix is in the support when it is nonzero.
+    ``sign_consistent`` is true when every pair i < j matches in sign
+    under the convention sgn(0) = 0.
     """
     est, tru = _pair(estimate, truth)
-    if zero_tol < 0:
-        raise ValueError(f"zero_tol must be nonnegative, got {zero_tol!r}")
     iu = np.triu_indices(est.shape[0], k=1)
     est_off = est[iu]
     tru_off = tru[iu]
-    est_nz = np.abs(est_off) > zero_tol
+    est_nz = est_off != 0.0
     tru_nz = tru_off != 0.0
 
     n_true = int(tru_nz.sum())
@@ -94,8 +92,7 @@ def support_metrics(estimate, truth, zero_tol: float = 0.0) -> SupportMetrics:
     tpr = 1.0 if tpr_degenerate else float((est_nz & tru_nz).sum() / n_true)
     fpr = 0.0 if fpr_degenerate else float((est_nz & ~tru_nz).sum() / n_null)
 
-    est_sign = np.where(est_nz, np.sign(est_off), 0.0)
-    sign_consistent = bool(np.all(est_sign == np.sign(tru_off)))
+    sign_consistent = bool(np.all(np.sign(est_off) == np.sign(tru_off)))
     return SupportMetrics(
         tpr=tpr,
         fpr=fpr,

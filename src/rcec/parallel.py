@@ -3,9 +3,9 @@
 Batch drivers (benchmark replications, bootstrap replicates) fan out across a
 thread pool and reduce results in submission order, so serial and parallel
 runs produce identical output.  The BLAS pool is pinned to one thread inside
-these regions: multithreaded kernels may reorder reductions, and the pin
-keeps per-task numerics independent of the worker count.  The
-``RCEC_THREADS`` environment variable caps the pool size.
+these regions when ``threadpoolctl`` imports: multithreaded kernels may
+reorder reductions.  The ``RCEC_THREADS`` environment variable is the one
+cap on the pool size.
 """
 
 from __future__ import annotations

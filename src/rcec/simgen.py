@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compdata import CompositionMatrix, _as_matrix
+from .compdata import CompositionMatrix, _as_matrix, _check_seed
 
 # Band radius of the Toeplitz block: entry (i, j) is (1 - |i - j| / 10)+.
 BAND_DECAY = 10.0
@@ -191,14 +191,6 @@ def sample_case(case, n: int, p: int, seed: int, omega0=None) -> np.ndarray:
     contaminant = rng.standard_normal((n, p)) + case.shift
     mask = rng.random(n) < case.contamination
     return np.where(mask[:, None], contaminant, clean)
-
-
-def _check_seed(seed: int) -> int:
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
-    return int(seed)
 
 
 def basis_to_composition(y) -> CompositionMatrix:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compdata import CompositionMatrix, _as_matrix, clr_transform
+from .compdata import CompositionMatrix, _as_matrix, _check_seed, clr_transform
 from .parallel import ordered_map
 from .threshold import threshold_matrix
 from .tuning import EstimatorConfig, estimate, _subset_covariance
@@ -51,14 +51,12 @@ class SupportSet:
         return len(self.edges)
 
 
-def extract_edges(omega, zero_tol: float = 0.0) -> SupportSet:
-    """Edges of a symmetric estimate: pairs i < j with ``|omega_ij| > zero_tol``."""
+def extract_edges(omega) -> SupportSet:
+    """Edges of a symmetric estimate: pairs i < j with ``omega_ij != 0``."""
     arr = _as_matrix(omega, "estimate", square=True)
-    if zero_tol < 0:
-        raise ValueError(f"zero_tol must be nonnegative, got {zero_tol!r}")
     iu, ju = np.triu_indices(arr.shape[0], k=1)
     weights = arr[iu, ju]
-    keep = np.abs(weights) > zero_tol
+    keep = weights != 0.0
     weights = weights[keep]
     edges = zip(
         iu[keep].tolist(),
@@ -115,7 +113,7 @@ def _tally(baseline: SupportSet, values: np.ndarray):
     row per replicate; an entry counts as recovered under the support rule
     of :func:`extract_edges`.
     """
-    hits = np.abs(values) > 0.0
+    hits = values != 0.0
     signs = np.array([e.sign for e in baseline.edges])
     total_hits = int(hits.sum())
     sign_hits = int((hits & (np.sign(values) == signs)).sum())
@@ -140,7 +138,6 @@ def bootstrap_stability(
     *,
     reuse_lambda: bool = False,
     index_sampler=None,
-    workers: int | None = None,
 ) -> StabilityResult:
     """Re-estimate on bootstrap resamples and count edge recurrence.
 
@@ -168,13 +165,12 @@ def bootstrap_stability(
         defaults to iid uniform resampling with replacement.  A sampler
         returning ``arange(n)`` makes every replicate the original data,
         which is useful for self-consistency checks.
-    workers : int, optional
-        Thread cap for replicate fan-out (further capped by RCEC_THREADS).
 
     Returns
     -------
     StabilityResult
     """
+    seed = _check_seed(seed)
     if config is None:
         config = EstimatorConfig()
     if not isinstance(X, CompositionMatrix):
@@ -189,7 +185,7 @@ def bootstrap_stability(
     rows = np.array([e.i for e in baseline.edges], dtype=np.intp)
     cols = np.array([e.j for e in baseline.edges], dtype=np.intp)
     n = X.n
-    children = np.random.SeedSequence(int(seed)).spawn(int(replicates))
+    children = np.random.SeedSequence(seed).spawn(int(replicates))
 
     def one_replicate(child):
         # The replicate's estimate at the baseline edges, one value per edge.
@@ -210,7 +206,7 @@ def bootstrap_stability(
             omega = estimate(xb, config).omega
         return omega[rows, cols]
 
-    values = np.stack(ordered_map(one_replicate, children, workers=workers))
+    values = np.stack(ordered_map(one_replicate, children))
     occurrences, stability, sign_agreement = _tally(baseline, values)
     baseline_counted = SupportSet(edges=baseline.edges, occurrences=occurrences)
     stable = filter_stable(baseline_counted, retain_threshold)
@@ -223,7 +219,7 @@ def bootstrap_stability(
         sign_agreement=sign_agreement,
         replicates=int(replicates),
         retain_threshold=int(retain_threshold),
-        seed=int(seed),
+        seed=seed,
         lambda_star=baseline_fit.lambda_star,
         reuse_lambda=bool(reuse_lambda),
         baseline_omega=baseline_fit.omega,

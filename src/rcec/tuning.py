@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .compdata import CompositionMatrix, _as_matrix, clr_transform
+from .compdata import CompositionMatrix, _as_matrix, _check_seed, clr_transform
 from .metrics import min_eigenvalue
 from .mom import default_block_count, mom_covariance, sample_covariance
 from .threshold import (
@@ -90,10 +90,7 @@ class EstimatorConfig:
             raise ValueError(f"grid_size must be >= 2, got {self.grid_size}")
         if not (self.L > 0):
             raise ValueError(f"L must be > 0, got {self.L!r}")
-        if not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        if int(self.seed) < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        _check_seed(self.seed)
         if self.block_count is not None and int(self.block_count) < 1:
             raise ValueError(f"block_count must be >= 1, got {self.block_count}")
 

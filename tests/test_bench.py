@@ -93,36 +93,15 @@ class TestRunBenchmark:
     def test_reruns_are_identical(self):
         assert run_benchmark(SMOKE, FAST) == run_benchmark(SMOKE, FAST)
 
-    def test_worker_count_does_not_change_results(self):
-        serial = run_benchmark(SMOKE, FAST, workers=1)
-        threaded = run_benchmark(SMOKE, FAST, workers=3)
+    def test_worker_count_does_not_change_results(self, monkeypatch):
+        monkeypatch.setenv("RCEC_THREADS", "1")
+        serial = run_benchmark(SMOKE, FAST)
+        monkeypatch.setenv("RCEC_THREADS", "3")
+        threaded = run_benchmark(SMOKE, FAST)
         rows_a = summarize(serial, SMOKE)
         rows_b = summarize(threaded, SMOKE)
         assert rows_to_csv(rows_a) == rows_to_csv(rows_b)
         assert serial == threaded
-
-    def test_truth_hook_replaces_ground_truth(self):
-        # A diagonal truth has no off-diagonal support, so recall is
-        # degenerate (reported as 1) and any recovered edge is a false one.
-        calls = []
-
-        def diagonal_truth(p):
-            calls.append(p)
-            return np.eye(p)
-
-        spec = BenchmarkSpec(
-            cases=(1,),
-            p_values=(6,),
-            n=40,
-            replications=2,
-            estimators=("rcec",),
-            seed=0,
-        )
-        records = run_benchmark(spec, FAST, omega0_fn=diagonal_truth)
-        assert calls == [6]
-        for record in records:
-            assert record.values["tpr"] == 1.0
-            assert 0.0 <= record.values["fpr"] <= 1.0
 
 
 class TestSummarize:

@@ -348,6 +348,15 @@ class TestBenchmarkCommand:
         assert capsys.readouterr().err == "error: need --n >= 2 * folds = 8, got 6\n"
         assert not (tmp_path / "b").exists()
 
+    def test_estimator_flag_is_rejected(self, tmp_path, capsys):
+        # The arms come from --estimators; --estimator is neither a flag of
+        # benchmark nor an abbreviation of --estimators.
+        with pytest.raises(SystemExit) as excinfo:
+            main(self.ARGS + ["--estimator", "coat", "--out", str(tmp_path / "b")])
+        assert excinfo.value.code == EXIT_USAGE
+        assert "unrecognized arguments: --estimator coat" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
 
 class TestStabilityCommand:
     def run(self, samples_csv, out, *extra):
@@ -421,6 +430,43 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "cmd_estimate", reject)
         assert main(["estimate", "whatever.csv"]) == EXIT_DATA
         assert "data error" in capsys.readouterr().err
+
+    # Each command's --out below a path that is a regular file; the second
+    # item is the first file the command writes.
+    UNWRITABLE = {
+        "estimate": (
+            ["estimate", "{samples}", "--grid-size", "6", "--out", "{blocker}"],
+            "omega.csv",
+        ),
+        "simulate": (
+            ["simulate", "--case", "1", "--n", "8", "--p", "4", "--out", "{blocker}/x.csv"],
+            "x.csv",
+        ),
+        "benchmark": (
+            [
+                "benchmark", "--cases", "1", "--p", "4", "--n", "10", "--replications", "1",
+                "--estimators", "coat", "--grid-size", "6", "--out", "{blocker}",
+            ],
+            "results.csv",
+        ),
+        "stability": (
+            ["stability", "{samples}", "-B", "1", "--grid-size", "6", "--out", "{blocker}/x.json"],
+            "x.json",
+        ),
+    }
+
+    @pytest.mark.parametrize("command", sorted(UNWRITABLE))
+    def test_unwritable_output_is_a_usage_error(self, samples_csv, tmp_path, capsys, command):
+        blocker = tmp_path / "afile"
+        blocker.write_text("")
+        template, first_file = self.UNWRITABLE[command]
+        argv = [arg.format(samples=samples_csv, blocker=blocker) for arg in template]
+        capsys.readouterr()
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {blocker / first_file}: "), err
+        assert err.count("\n") == 1
+        assert blocker.read_text() == ""
 
 
 def test_module_entry_point_runs_in_a_subprocess(tmp_path):

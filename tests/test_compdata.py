@@ -1,5 +1,8 @@
 """Compositional data containers, closure, and the clr transform."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,12 +10,16 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from rcec import (
+    BenchmarkSpec,
     ClrMatrix,
     CompositionMatrix,
     CountMatrix,
+    EstimatorConfig,
     basis_to_composition,
+    bootstrap_stability,
     close_counts,
     clr_transform,
+    sample_case,
 )
 
 positive_rows = hnp.arrays(
@@ -83,6 +90,46 @@ class TestCloseCounts:
     def test_all_zero_row_rejected(self):
         with pytest.raises(ValueError, match="zero"):
             close_counts([[0, 0], [1, 2]])
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan, -1.0])
+    def test_rejects_nonfinite_replacement_up_front(self, value):
+        # An infinite pseudo-count used to fill a zero and fail later, after
+        # a numpy RuntimeWarning, as "non-finite entries".
+        message = f"zero_replacement must be strictly positive and finite, got {value!r}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                close_counts([[0, 1, 1], [1, 1, 1]], zero_replacement=value)
+
+
+# Every public entry point that takes a seed applies the one check in
+# compdata, with the same messages.
+SEED_ENTRY_POINTS = {
+    "EstimatorConfig": lambda seed: EstimatorConfig(seed=seed),
+    "sample_case": lambda seed: sample_case(1, 5, 4, seed),
+    "BenchmarkSpec": lambda seed: BenchmarkSpec(seed=seed),
+    "bootstrap_stability": lambda seed: bootstrap_stability(
+        basis_to_composition(sample_case(1, 30, 6, 0)),
+        EstimatorConfig(grid_size=6),
+        replicates=1,
+        seed=seed,
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SEED_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        (1.5, "seed must be an integer, got 1.5"),
+        (True, "seed must be an integer, got True"),
+        (-1, "seed must be nonnegative, got -1"),
+    ],
+    ids=["float", "bool", "negative"],
+)
+def test_every_entry_point_rejects_a_bad_seed(entry, seed, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SEED_ENTRY_POINTS[entry](seed)
 
 
 class TestClrTransform:

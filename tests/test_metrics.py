@@ -127,16 +127,6 @@ class TestSupportMetrics:
         est[0, 1] = est[1, 0] = 0.5
         assert support_metrics(est, tru).sign_consistent
 
-    def test_zero_tol(self):
-        tru = np.zeros((3, 3))
-        tru[0, 1] = tru[1, 0] = 1.0
-        est = np.zeros((3, 3))
-        est[0, 1] = est[1, 0] = 1e-9
-        assert support_metrics(est, tru, zero_tol=1e-6).tpr == 0.0
-        assert support_metrics(est, tru).tpr == 1.0
-        with pytest.raises(ValueError, match="zero_tol"):
-            support_metrics(est, tru, zero_tol=-1.0)
-
 
 class TestMinEigenvalue:
     def test_reference_values(self):
