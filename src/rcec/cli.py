@@ -7,7 +7,8 @@ stability).  Exit codes: 0 success, 2 usage or input-format error, 3 data
 invariant violation, 4 numerical failure.
 
 All outputs are plain CSV, markdown or JSON without timestamps; rerunning a
-command with identical arguments reproduces identical bytes.  The
+command with identical arguments reproduces identical bytes.  A command
+writes all of its output files or, on failure, none of them.  The
 ``RCEC_THREADS`` environment variable caps worker threads for the batch
 commands.
 """
@@ -16,8 +17,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
+import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -36,7 +39,7 @@ from .compdata import DEFAULT_ZERO_REPLACEMENT, CompositionMatrix, close_counts
 from .simgen import CASES, _check_dimension, get_case, basis_to_composition, sample_case
 from .stability import bootstrap_stability
 from .threshold import ThresholdRule
-from .tuning import EstimatorConfig, estimate
+from .tuning import EstimatorConfig, _parse_kv, estimate
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -90,34 +93,73 @@ def _full(value: float) -> str:
     return repr(float(value))
 
 
-def _write(path: Path, text: str) -> None:
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
-    except OSError as exc:
-        raise UsageError(f"cannot write {path}: {exc}") from None
+class _OutputSet:
+    """The files one command writes: all of them appear, or none does.
+
+    :meth:`write` puts each file at a temporary name beside its target.
+    Leaving the ``with`` block normally renames every temporary onto its
+    target; leaving it by an exception removes the temporaries, so a failed
+    command creates or replaces no output file.
+    """
+
+    def __init__(self):
+        self._staged = []  # (temporary, target)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is not None:
+            self._discard()
+            return
+        for temp, path in self._staged:
+            try:
+                os.replace(temp, path)
+            except OSError as exc:
+                self._discard()
+                raise UsageError(f"cannot write {path}: {exc}") from None
+
+    def _discard(self) -> None:
+        for temp, _ in self._staged:
+            try:
+                temp.unlink(missing_ok=True)
+            except OSError:
+                pass
+
+    def write(self, path: Path, text: str) -> None:
+        temp = path.with_name(f".{path.name}.tmp")
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            # A directory at the target would fail only the rename, after
+            # other targets may already have been replaced.
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+            self._staged.append((temp, path))
+            temp.write_text(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {path}: {exc}") from None
 
 
-def write_matrix_csv(path: Path, taxa, matrix: np.ndarray) -> None:
+def write_matrix_csv(files: _OutputSet, path: Path, taxa, matrix: np.ndarray) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([""] + list(taxa))
     for name, row in zip(taxa, matrix):
         writer.writerow([name] + [_full(v) for v in row])
-    _write(path, buf.getvalue())
+    files.write(path, buf.getvalue())
 
 
-def write_samples_csv(path: Path, taxa, matrix: np.ndarray) -> None:
+def write_samples_csv(files: _OutputSet, path: Path, taxa, matrix: np.ndarray) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(list(taxa))
     for row in matrix:
         writer.writerow([_full(v) for v in row])
-    _write(path, buf.getvalue())
+    files.write(path, buf.getvalue())
 
 
-def write_json(path: Path, payload) -> None:
-    _write(path, json.dumps(payload, indent=2) + "\n")
+def write_json(files: _OutputSet, path: Path, payload) -> None:
+    files.write(path, json.dumps(payload, indent=2) + "\n")
 
 
 def _edge_payload(edge, taxa, omega, occurrences=None):
@@ -146,14 +188,23 @@ def _edge_payload(edge, taxa, omega, occurrences=None):
 _CONFIG_FIELDS = frozenset(f.name for f in fields(EstimatorConfig))
 
 
-def build_config(args) -> EstimatorConfig:
+def build_config(args, own_flags=None) -> EstimatorConfig:
+    """The ``--config`` file (or the defaults), overridden by the flags given.
+
+    ``own_flags`` maps config fields that the command takes from flags of
+    its own to those flags; the file may not set them.
+    """
     given = vars(args)
     updates = {key: value for key, value in given.items() if key in _CONFIG_FIELDS}
     try:
-        if given.get("config"):
-            config = EstimatorConfig.from_kv(Path(given["config"]).read_text())
-        else:
-            config = EstimatorConfig()
+        values = _parse_kv(Path(given["config"]).read_text()) if given.get("config") else {}
+        for key, flag in (own_flags or {}).items():
+            if key in values:
+                raise UsageError(
+                    f"bad configuration: {given['config']} sets {key!r}; "
+                    f"{args.command} takes it from {flag}"
+                )
+        config = EstimatorConfig(**values)
         if "rule" in updates:
             updates["rule"] = ThresholdRule.parse(updates["rule"])
         return replace(config, **updates)
@@ -185,31 +236,34 @@ def cmd_estimate(args) -> int:
 
     edges = extract_edges(result.omega)
     outdir = Path(args.out)
-    write_matrix_csv(outdir / "omega.csv", taxa, result.omega)
-    write_json(
-        outdir / "edges.json",
-        {
-            "edges": [_edge_payload(e, taxa, result.omega) for e in edges.edges],
-            "positives": sum(1 for e in edges.edges if e.sign > 0),
-            "negatives": sum(1 for e in edges.edges if e.sign < 0),
-        },
-    )
-    write_json(
-        outdir / "report.json",
-        {
-            "command": "estimate",
-            "input": args.input,
-            "n": x.n,
-            "p": x.p,
-            "config": config.to_dict(),
-            "block_count": result.block_count,
-            "lambda_star": result.lambda_star,
-            "min_eigenvalue": result.min_eig,
-            "edge_count": len(edges.edges),
-            "warnings": result.warnings,
-            "cv_curve": [[float(l), float(e)] for l, e in result.cv_curve],
-        },
-    )
+    with _OutputSet() as files:
+        write_matrix_csv(files, outdir / "omega.csv", taxa, result.omega)
+        write_json(
+            files,
+            outdir / "edges.json",
+            {
+                "edges": [_edge_payload(e, taxa, result.omega) for e in edges.edges],
+                "positives": sum(1 for e in edges.edges if e.sign > 0),
+                "negatives": sum(1 for e in edges.edges if e.sign < 0),
+            },
+        )
+        write_json(
+            files,
+            outdir / "report.json",
+            {
+                "command": "estimate",
+                "input": args.input,
+                "n": x.n,
+                "p": x.p,
+                "config": config.to_dict(),
+                "block_count": result.block_count,
+                "lambda_star": result.lambda_star,
+                "min_eigenvalue": result.min_eig,
+                "edge_count": len(edges.edges),
+                "warnings": result.warnings,
+                "cv_curve": [[float(l), float(e)] for l, e in result.cv_curve],
+            },
+        )
     print(f"wrote {outdir / 'omega.csv'}, {outdir / 'edges.json'}, {outdir / 'report.json'}")
     return EXIT_OK
 
@@ -231,24 +285,26 @@ def cmd_simulate(args) -> int:
     x = basis_to_composition(y)
     taxa = [f"taxon_{j + 1}" for j in range(args.p)]
     out = Path(args.out)
-    write_samples_csv(out, taxa, x.values)
     meta = Path(str(out) + ".meta.json")
-    write_json(
-        meta,
-        {
-            "command": "simulate",
-            "case": int(args.case),
-            "kind": case.kind,
-            "df": case.df,
-            "alpha": case.alpha,
-            "contamination": case.contamination,
-            "shift": case.shift,
-            "n": int(args.n),
-            "p": int(args.p),
-            "seed": int(args.seed),
-            "data": out.name,
-        },
-    )
+    with _OutputSet() as files:
+        write_samples_csv(files, out, taxa, x.values)
+        write_json(
+            files,
+            meta,
+            {
+                "command": "simulate",
+                "case": int(args.case),
+                "kind": case.kind,
+                "df": case.df,
+                "alpha": case.alpha,
+                "contamination": case.contamination,
+                "shift": case.shift,
+                "n": int(args.n),
+                "p": int(args.p),
+                "seed": int(args.seed),
+                "data": out.name,
+            },
+        )
     print(f"wrote {out}, {meta}")
     return EXIT_OK
 
@@ -269,7 +325,7 @@ def cmd_benchmark(args) -> int:
     for p in p_values:
         _check_p(p)
     estimators = tuple(part.strip() for part in args.estimators.split(",") if part.strip())
-    config = build_config(args)
+    config = build_config(args, own_flags={"estimator": "--estimators"})
     try:
         spec = BenchmarkSpec(
             cases=cases,
@@ -288,9 +344,10 @@ def cmd_benchmark(args) -> int:
     records = run_benchmark(spec, config)
     rows = summarize(records, spec)
     outdir = Path(args.out)
-    _write(outdir / "results.csv", rows_to_csv(rows))
-    _write(outdir / "results.md", rows_to_markdown(rows))
-    _write(outdir / "losses.csv", records_to_csv(records))
+    with _OutputSet() as files:
+        files.write(outdir / "results.csv", rows_to_csv(rows))
+        files.write(outdir / "results.md", rows_to_markdown(rows))
+        files.write(outdir / "losses.csv", records_to_csv(records))
     print(f"wrote {outdir / 'results.csv'}, {outdir / 'results.md'}, {outdir / 'losses.csv'}")
     return EXIT_OK
 
@@ -335,7 +392,8 @@ def cmd_stability(args) -> int:
         },
     }
     out = Path(args.out)
-    write_json(out, payload)
+    with _OutputSet() as files:
+        write_json(files, out, payload)
     print(f"wrote {out}")
     return EXIT_OK
 

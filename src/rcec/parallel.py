@@ -40,7 +40,7 @@ def single_threaded_blas():
     """Context manager pinning BLAS pools to one thread (no-op fallback)."""
     try:
         from threadpoolctl import threadpool_limits
-    except ImportError:  # pragma: no cover - present in supported environments
+    except ImportError:  # threadpoolctl is optional; BLAS then keeps its own thread count
         return contextlib.nullcontext()
     return threadpool_limits(limits=1, user_api="blas")
 

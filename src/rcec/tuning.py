@@ -36,6 +36,10 @@ ESTIMATOR_KINDS = ("rcec", "coat")
 # Strict positivity margin for the positive-definiteness floor.
 PD_TOL = 1e-10
 
+# Half-width of the band around PD_TOL, in units of p * eps * ||omega||_1,
+# inside which a Cholesky factorization is not trusted to decide the PD floor.
+_CHOLESKY_MARGIN = 64.0
+
 # Upper end of the degenerate grid used when no off-diagonal signal exists.
 DEGENERATE_GRID_MAX = 1e-12
 
@@ -121,25 +125,30 @@ class EstimatorConfig:
         Blank lines and lines starting with ``#`` are ignored; unknown keys
         are rejected.
         """
-        kwargs = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
-            key = key.strip()
-            value = value.strip()
-            if key not in _FIELD_TYPES:
-                raise ValueError(f"line {lineno}: unknown config key {key!r}")
-            if key in kwargs:
-                raise ValueError(f"line {lineno}: duplicate config key {key!r}")
-            try:
-                kwargs[key] = _parse_kv_value(key, value)
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-        return cls(**kwargs)
+        return cls(**_parse_kv(text))
+
+
+def _parse_kv(text: str) -> dict:
+    # The fields a kv text sets, parsed to their types.
+    kwargs = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
+        key = key.strip()
+        value = value.strip()
+        if key not in _FIELD_TYPES:
+            raise ValueError(f"line {lineno}: unknown config key {key!r}")
+        if key in kwargs:
+            raise ValueError(f"line {lineno}: duplicate config key {key!r}")
+        try:
+            kwargs[key] = _parse_kv_value(key, value)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+    return kwargs
 
 
 def _kv_text(value) -> str:
@@ -313,6 +322,35 @@ def cv_select(W, config: EstimatorConfig, *, grid=None):
     return float(grid[best]), curve
 
 
+def _factors(omega: np.ndarray, shift: float) -> bool:
+    # Whether the Cholesky factorization of omega - shift * I succeeds.
+    shifted = omega.copy()
+    shifted.flat[:: omega.shape[0] + 1] -= shift
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _is_pd(omega: np.ndarray) -> bool:
+    """Whether ``min_eigenvalue(omega) > PD_TOL``, mostly without a spectrum.
+
+    The Cholesky factorization of ``omega - s I`` succeeds when every
+    eigenvalue exceeds ``s``, up to rounding of order ``p eps ||omega||``.
+    Shifting by a ``delta`` well beyond that rounding on either side of
+    ``PD_TOL`` settles every matrix whose smallest eigenvalue lies outside
+    the band ``PD_TOL +- delta``; inside it the eigenvalue decides.
+    """
+    p = omega.shape[0]
+    delta = _CHOLESKY_MARGIN * p * np.finfo(np.float64).eps * np.abs(omega).sum(axis=0).max()
+    if _factors(omega, PD_TOL + delta):
+        return True
+    if not _factors(omega, max(PD_TOL - delta, 0.0)):
+        return False
+    return min_eigenvalue(omega) > PD_TOL
+
+
 def pd_floor_scan(gamma, grid, n: int, config: EstimatorConfig):
     """Restrict a tuning grid to values giving a positive definite estimate.
 
@@ -327,7 +365,7 @@ def pd_floor_scan(gamma, grid, n: int, config: EstimatorConfig):
     arr = _as_matrix(gamma, "covariance", square=True)
     grid = _as_grid(grid)
     omegas = _threshold_grid(arr, _entry_scale(arr, n), grid, config)
-    qualifies = np.array([min_eigenvalue(omega) > PD_TOL for omega in omegas])
+    qualifies = np.array([_is_pd(omega) for omega in omegas])
     notes = []
     if not qualifies.any():
         notes.append(

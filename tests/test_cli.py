@@ -357,6 +357,22 @@ class TestBenchmarkCommand:
         assert "unrecognized arguments: --estimator coat" in capsys.readouterr().err
         assert not (tmp_path / "b").exists()
 
+    @pytest.mark.parametrize("estimator", ["coat", "rcec"])
+    def test_config_file_estimator_is_rejected(self, tmp_path, capsys, estimator):
+        # A config file cannot pick the arms either, not even the default.
+        cfg = tmp_path / "c.kv"
+        cfg.write_text(f"grid_size = 6\nestimator = {estimator}\n")
+        capsys.readouterr()
+        assert main(self.ARGS + ["--config", str(cfg), "--out", str(tmp_path / "b")]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: bad configuration: {cfg} sets 'estimator'; "
+            "benchmark takes it from --estimators\n"
+        )
+        assert not (tmp_path / "b").exists()
+        # The same file without the key runs.
+        cfg.write_text("grid_size = 6\n")
+        assert main(self.ARGS + ["--config", str(cfg), "--out", str(tmp_path / "b")]) == EXIT_OK
+
 
 class TestStabilityCommand:
     def run(self, samples_csv, out, *extra):
@@ -467,6 +483,42 @@ class TestExitCodes:
         assert err.startswith(f"error: cannot write {blocker / first_file}: "), err
         assert err.count("\n") == 1
         assert blocker.read_text() == ""
+
+    # Each command's --out, a file of its output set that is a directory
+    # (the command writes other files before that one), and flags that
+    # change the bytes of every file.
+    LATE_BLOCKER = {
+        "estimate": (UNWRITABLE["estimate"][0], "report.json", ["--estimator", "coat"]),
+        "simulate": (UNWRITABLE["simulate"][0], "x.csv.meta.json", ["--seed", "1"]),
+        "benchmark": (UNWRITABLE["benchmark"][0], "losses.csv", ["--seed", "1"]),
+    }
+
+    @pytest.mark.parametrize("command", sorted(LATE_BLOCKER))
+    def test_failed_write_leaves_no_output_file(self, samples_csv, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        template, blocked, _ = self.LATE_BLOCKER[command]
+        (out / blocked).mkdir(parents=True)
+        argv = [arg.format(samples=samples_csv, blocker=out) for arg in template]
+        capsys.readouterr()
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out / blocked}: "), err
+        # Neither the files written before the failure nor their temporaries remain.
+        assert sorted(p.name for p in out.iterdir()) == [blocked]
+
+    @pytest.mark.parametrize("command", sorted(LATE_BLOCKER))
+    def test_failed_write_keeps_earlier_outputs(self, samples_csv, tmp_path, command):
+        out = tmp_path / "out"
+        template, blocked, other = self.LATE_BLOCKER[command]
+        argv = [arg.format(samples=samples_csv, blocker=out) for arg in template]
+        assert main(argv) == EXIT_OK
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        (out / blocked).unlink()
+        (out / blocked).mkdir()
+        assert main(argv + other) == EXIT_USAGE
+        del before[blocked]
+        after = {p.name: p.read_bytes() for p in out.iterdir() if p.name != blocked}
+        assert after == before
 
 
 def test_module_entry_point_runs_in_a_subprocess(tmp_path):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from rcec import default_block_count, mom_covariance, sample_covariance
@@ -16,6 +16,11 @@ def _mom_reference(w, sizes):
     med_second = np.median([b.T @ b / b.shape[0] for b in blocks], axis=0)
     g = med_second - np.outer(med_mean, med_mean)
     return (g + g.T) / 2.0
+
+
+def _assert_bitwise_equal(got, want):
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestRegularPartition:
@@ -72,9 +77,28 @@ class TestRegularPartition:
             return
         base, extra = divmod(n, m)
         sizes = [base + 1] * extra + [base] * (m - extra)
-        np.testing.assert_allclose(
-            mom_covariance(w, m), _mom_reference(w, sizes), rtol=1e-12, atol=1e-12
-        )
+        _assert_bitwise_equal(mom_covariance(w, m), _mom_reference(w, sizes))
+
+    @given(
+        st.integers(1, 4),
+        st.integers(1, 12),
+        st.integers(1, 3),
+        st.integers(0, 11),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(p=2, m=1, base=2, extra=0, seed=0)
+    @example(p=2, m=5, base=1, extra=0, seed=0)
+    @example(p=2, m=6, base=1, extra=0, seed=1)
+    def test_ties_and_signed_zeros_match_np_median(self, p, m, base, extra, seed):
+        # Entries from {-1, -0.0, 0.0, 1, 2}: block moments tie often, and
+        # zeros of both signs enter every moment.
+        extra %= m
+        n = max(m * base + extra, 2)
+        values = np.array([-1.0, -0.0, 0.0, 1.0, 2.0])
+        w = np.random.default_rng(seed).choice(values, size=(n, p))
+        sizes = [base + 1] * extra + [base] * (m - extra)
+        sizes[0] += n - sum(sizes)
+        _assert_bitwise_equal(mom_covariance(w, m), _mom_reference(w, sizes))
 
 
 class TestMedianOfMeans:

@@ -22,7 +22,8 @@ from rcec import (
     sample_case,
     threshold_matrix,
 )
-from rcec.tuning import PD_TOL, _subset_covariance, pd_floor_scan
+from rcec import tuning
+from rcec.tuning import PD_TOL, _is_pd, _subset_covariance, pd_floor_scan
 
 
 def _composition(case=1, n=60, p=10, seed=0):
@@ -288,6 +289,44 @@ class TestPdFloor:
         ok = restricted[0]
         scale = np.sqrt(np.log(3) / 40)
         assert 1.0 - (2.0 - ok * scale) > PD_TOL  # smallest kept value works
+
+
+def _with_smallest_eigenvalue(p, lam_min, spread, seed):
+    # Q diag(lam) Q^T with lam_min the smallest of lam, exactly symmetric.
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(p, p)))
+    lam = np.concatenate([[lam_min], max(lam_min, 0.0) + rng.uniform(0.0, spread, p - 1)])
+    omega = (q * lam) @ q.T
+    return (omega + omega.T) / 2.0
+
+
+class TestPdDecision:
+    """The PD floor's Cholesky test gives the eigenvalue's answer."""
+
+    @given(
+        p=st.integers(2, 40),
+        lam_min=st.one_of(
+            st.floats(10.0, 1e6).map(lambda f: f * PD_TOL),  # well above
+            st.floats(-10.0, 0.5 * PD_TOL),  # well below
+            st.integers(-10, 10).map(lambda k: PD_TOL * (1 + k * 1e-4)),  # at
+        ),
+        spread=st.floats(1e-3, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_agrees_with_min_eigenvalue(self, p, lam_min, spread, seed):
+        omega = _with_smallest_eigenvalue(p, lam_min, spread, seed)
+        assert _is_pd(omega) == (min_eigenvalue(omega) > PD_TOL)
+
+    def test_eigenvalues_decide_only_near_the_floor(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            tuning, "min_eigenvalue", lambda a: calls.append(1) or min_eigenvalue(a)
+        )
+        assert _is_pd(_with_smallest_eigenvalue(20, 1e-3, 1.0, 0))
+        assert not _is_pd(_with_smallest_eigenvalue(20, -1e-3, 1.0, 0))
+        assert calls == []
+        _is_pd(_with_smallest_eigenvalue(20, PD_TOL, 1.0, 0))
+        assert calls == [1]
 
 
 # Reference for the grid loop: one threshold_matrix call per tuning value.
