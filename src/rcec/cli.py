@@ -36,6 +36,7 @@ from .bench import (
     summarize,
 )
 from .compdata import DEFAULT_ZERO_REPLACEMENT, CompositionMatrix, close_counts
+from .parallel import worker_count
 from .simgen import CASES, _check_dimension, get_case, basis_to_composition, sample_case
 from .stability import bootstrap_stability
 from .threshold import ThresholdRule
@@ -65,25 +66,27 @@ def read_table(path: str):
         text = Path(path).read_text()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
-    rows = list(csv.reader(io.StringIO(text)))
+    reader = csv.reader(io.StringIO(text))
+    # Blank lines are skipped; diagnostics name the physical line.
+    rows = [(reader.line_num, row) for row in reader if row]
     if len(rows) < 2:
         raise UsageError(f"{path}: expected a header row and at least one data row")
-    taxa = [cell.strip() for cell in rows[0]]
+    taxa = [cell.strip() for cell in rows[0][1]]
     p = len(taxa)
     if p < 2:
         raise UsageError(f"{path}: need at least 2 columns, found {p}")
     data = np.empty((len(rows) - 1, p))
-    for r, row in enumerate(rows[1:], start=2):
+    for r, (line, row) in enumerate(rows[1:]):
         if len(row) != p:
             raise UsageError(
-                f"{path}: line {r}: expected {p} fields, found {len(row)}"
+                f"{path}: line {line}: expected {p} fields, found {len(row)}"
             )
         for c, cell in enumerate(row):
             try:
-                data[r - 2, c] = float(cell)
+                data[r, c] = float(cell)
             except ValueError:
                 raise UsageError(
-                    f"{path}: line {r}, column {c + 1}: not a number: {cell!r}"
+                    f"{path}: line {line}, column {c + 1}: not a number: {cell!r}"
                 ) from None
     return taxa, data
 
@@ -319,7 +322,16 @@ def _parse_int_list(text: str, what: str) -> tuple:
     return values
 
 
+def _check_threads() -> None:
+    # A bad thread cap is a usage error, reported before any work runs.
+    try:
+        worker_count(1)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def cmd_benchmark(args) -> int:
+    _check_threads()
     cases = _parse_int_list(args.cases, "case")
     p_values = _parse_int_list(args.p, "dimension")
     for p in p_values:
@@ -353,6 +365,7 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_stability(args) -> int:
+    _check_threads()
     taxa, x = _load_composition(args)
     config = build_config(args)
     if args.bootstrap < 1:

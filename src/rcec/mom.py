@@ -12,15 +12,16 @@ separately under one shared partition:
 With a single block the medians are plain means and the estimator collapses
 to the sample covariance (divisor n).
 
-The second-moment median runs on the packed upper triangle, p(p + 1) / 2
-entries by m blocks with the block axis contiguous: the matrices are
+The second-moment median runs on the packed upper triangle: one block-major
+m by p(p + 1) / 2 buffer, filled one block at a time.  The matrices are
 symmetric, so the lower triangle is a mirror and needs no median of its own,
-and the m x p x p stack ``np.median`` would take is never built.  The packed
-rows are sorted rather than partitioned: the rows are short (m is about
-3 ln p), and numpy sorts short contiguous rows several times faster than its
-multi-``kth`` partition selects in them.  The median is then the mean of the
-middle one or two sorted values, which is how ``np.median`` computes it, so
-the result is bitwise equal to ``np.median`` over the block axis.
+and the m x p x p stack ``np.median`` would take is never built.  The buffer
+is sorted in place along its block axis rather than partitioned: the columns
+are short (m is about 3 ln p), numpy sorts short columns faster than its
+multi-``kth`` partition selects in them, and the sort needs no second buffer.
+The median is then the mean of the middle one or two sorted values, which is
+how ``np.median`` computes it, so the result is bitwise equal to
+``np.median`` over the block axis.
 """
 
 from __future__ import annotations
@@ -101,9 +102,8 @@ def mom_covariance(W, block_count: int) -> np.ndarray:
     for l, block in enumerate(np.array_split(arr, block_count)):
         means[l], second = _block_moments(block)
         seconds[l] = second[upper]
-    seconds = np.ascontiguousarray(seconds.T)
-    seconds.sort(axis=1)
-    middle = seconds[:, (block_count - 1) // 2 : block_count // 2 + 1].mean(axis=1)
+    seconds.sort(axis=0)
+    middle = seconds[(block_count - 1) // 2 : block_count // 2 + 1].mean(axis=0)
     med_second = np.empty((p, p))
     med_second[upper] = middle
     med_second.T[upper] = middle

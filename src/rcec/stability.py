@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compdata import CompositionMatrix, _as_matrix, _check_seed, clr_transform
+from .compdata import _as_matrix, _check_seed, clr_transform
 from .parallel import ordered_map
 from .threshold import threshold_matrix
-from .tuning import EstimatorConfig, estimate, _subset_covariance
+from .tuning import EstimatorConfig, estimate_from_latent, _subset_covariance
 
 DEFAULT_REPLICATES = 100
 DEFAULT_RETAIN = 50
@@ -173,27 +173,27 @@ def bootstrap_stability(
     seed = _check_seed(seed)
     if config is None:
         config = EstimatorConfig()
-    if not isinstance(X, CompositionMatrix):
-        X = CompositionMatrix(X)
+    # clr works row by row, so the clr rows of a resample are the resampled
+    # clr rows: transform once, resample W.
+    W = clr_transform(X).values
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
     if retain_threshold < 0:
         raise ValueError(f"retain_threshold must be >= 0, got {retain_threshold}")
 
-    baseline_fit = estimate(X, config)
+    baseline_fit = estimate_from_latent(W, config)
     baseline = extract_edges(baseline_fit.omega)
     rows = np.array([e.i for e in baseline.edges], dtype=np.intp)
     cols = np.array([e.j for e in baseline.edges], dtype=np.intp)
-    n = X.n
+    n = W.shape[0]
     children = np.random.SeedSequence(seed).spawn(int(replicates))
 
     def one_replicate(child):
         # The replicate's estimate at the baseline edges, one value per edge.
         rng = np.random.default_rng(child)
         idx = index_sampler(rng, n) if index_sampler is not None else rng.integers(0, n, n)
-        xb = CompositionMatrix(X.values[np.asarray(idx, dtype=np.intp)])
+        w = W[np.asarray(idx, dtype=np.intp)]
         if reuse_lambda:
-            w = clr_transform(xb).values
             gamma = _subset_covariance(w, config)
             omega = threshold_matrix(
                 gamma,
@@ -203,7 +203,7 @@ def bootstrap_stability(
                 threshold_diagonal=config.threshold_diagonal,
             )
         else:
-            omega = estimate(xb, config).omega
+            omega = estimate_from_latent(w, config).omega
         return omega[rows, cols]
 
     values = np.stack(ordered_map(one_replicate, children))

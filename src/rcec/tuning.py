@@ -26,7 +26,6 @@ from .threshold import (
     ThresholdRule,
     _clamp_notes,
     _entry_scale,
-    _float_text,
     _threshold_at,
     threshold_matrix,
 )
@@ -106,27 +105,6 @@ class EstimatorConfig:
             out[f.name] = value.spec() if isinstance(value, ThresholdRule) else value
         return out
 
-    def to_kv(self) -> str:
-        """Serialize to the flat ``key = value`` text format.
-
-        Unset optional fields (``None``) are left out.
-        """
-        lines = [
-            f"{key} = {_kv_text(value)}"
-            for key, value in self.to_dict().items()
-            if value is not None
-        ]
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_kv(cls, text: str) -> "EstimatorConfig":
-        """Parse the flat ``key = value`` format written by :meth:`to_kv`.
-
-        Blank lines and lines starting with ``#`` are ignored; unknown keys
-        are rejected.
-        """
-        return cls(**_parse_kv(text))
-
 
 def _parse_kv(text: str) -> dict:
     # The fields a kv text sets, parsed to their types.
@@ -149,14 +127,6 @@ def _parse_kv(text: str) -> dict:
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     return kwargs
-
-
-def _kv_text(value) -> str:
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, float):
-        return _float_text(value)
-    return str(value)
 
 
 def _parse_kv_value(key: str, value: str):
@@ -397,10 +367,11 @@ def estimate(X, config: EstimatorConfig | None = None) -> EstimateResult:
 
 
 def estimate_from_latent(Y, config: EstimatorConfig | None = None) -> EstimateResult:
-    """Run the thresholding pipeline directly on latent (basis) data.
+    """Run the pipeline on rows that need no clr transform.
 
-    Skips the clr transform; used as the oracle arm of benchmarks where the
-    un-composed data are available.
+    ``Y`` holds latent (basis) rows, as in the oracle arm of benchmarks
+    where the un-composed data are available, or clr rows already
+    transformed, as in the bootstrap replicates.
     """
     if config is None:
         config = EstimatorConfig()

@@ -54,6 +54,27 @@ class TestReadTable:
         with pytest.raises(UsageError, match=r"line 3, column 2: not a number"):
             read_table(str(path))
 
+    @pytest.mark.parametrize(
+        "text",
+        ["a,b\n0.5,0.5\n0.4,0.6\n\n", "a,b\n0.5,0.5\n\n0.4,0.6\n", "\na,b\n0.5,0.5\n0.4,0.6\n"],
+        ids=["trailing", "middle", "leading"],
+    )
+    def test_skips_blank_lines(self, tmp_path, text):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        taxa, data = read_table(str(path))
+        assert taxa == ["a", "b"]
+        np.testing.assert_array_equal(data, [[0.5, 0.5], [0.4, 0.6]])
+
+    def test_reports_physical_line_after_blank_lines(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b\n\n0.5,0.5\n\n\n0.4,oops\n0.1\n")
+        with pytest.raises(UsageError, match=r"line 6, column 2: not a number"):
+            read_table(str(path))
+        path.write_text("a,b\n\n0.5,0.5\n\n\n0.1\n")
+        with pytest.raises(UsageError, match=r"line 6: expected 2 fields, found 1"):
+            read_table(str(path))
+
     def test_needs_a_data_row(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("a,b\n")
@@ -483,6 +504,27 @@ class TestExitCodes:
         assert err.startswith(f"error: cannot write {blocker / first_file}: "), err
         assert err.count("\n") == 1
         assert blocker.read_text() == ""
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [("0", "must be >= 1, got 0"), ("-3", "must be >= 1, got -3"), ("x", "must be an integer, got 'x'")],
+    )
+    @pytest.mark.parametrize("command", ["benchmark", "stability"])
+    def test_bad_thread_cap_is_a_usage_error_before_any_fit(
+        self, samples_csv, tmp_path, capsys, monkeypatch, command, value, message
+    ):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the command ran a fit")
+
+        monkeypatch.setattr(cli, "run_benchmark", no_fit)
+        monkeypatch.setattr(cli, "bootstrap_stability", no_fit)
+        monkeypatch.setenv("RCEC_THREADS", value)
+        out = tmp_path / "out"
+        argv = [arg.format(samples=samples_csv, blocker=out) for arg in self.UNWRITABLE[command][0]]
+        capsys.readouterr()
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: RCEC_THREADS {message}\n"
+        assert not out.exists()
 
     # Each command's --out, a file of its output set that is a directory
     # (the command writes other files before that one), and flags that

@@ -1,5 +1,7 @@
 """Median-of-means covariance, its block partition, and the sample covariance."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -189,6 +191,20 @@ class TestMomCovariance:
         shuffled = w[np.random.default_rng(9).permutation(20)]
         np.testing.assert_array_equal(mom_covariance(shuffled, 4), mom_covariance(shuffled, 4))
         assert not np.array_equal(mom_covariance(shuffled, 4), mom_covariance(w, 4))
+
+    @pytest.mark.parametrize("m, p", [(60, 100), (120, 60)])
+    def test_holds_one_packed_block_buffer(self, m, p):
+        # The m x p(p + 1)/2 second-moment buffer is sorted where it lies;
+        # a transposed copy would double the peak.
+        w = np.random.default_rng(7).normal(size=(m, p))
+        mom_covariance(w, m)  # warm-up: first-call allocations are not the kernel's
+        tracemalloc.start()
+        try:
+            mom_covariance(w, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * m * (p * (p + 1) // 2) * 8
 
     def test_accepts_clr_matrix(self):
         from rcec import clr_transform

@@ -7,14 +7,20 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from rcec import (
+    CompositionMatrix,
     EstimatorConfig,
     bootstrap_stability,
+    clr_transform,
+    estimate,
     extract_edges,
     filter_stable,
     sample_case,
+    threshold_matrix,
 )
+from rcec import stability, tuning
 from rcec.simgen import basis_to_composition, get_case
 from rcec.stability import Edge, SupportSet, _tally
+from rcec.tuning import _subset_covariance
 
 
 def case1_composition(n=80, p=12, seed=5):
@@ -56,6 +62,34 @@ def loop_tally(baseline, replicate_supports):
         recovered_fractions.append(hits / len(baseline.edges) if baseline.edges else 1.0)
     stability = float(np.mean(recovered_fractions))
     return occurrences, stability, (sign_hits / total_hits) if total_hits else 1.0
+
+
+def loop_replicate_values(x, config, replicates, seed, reuse_lambda, index_sampler=None):
+    # Each replicate re-validates its resampled compositions and
+    # clr-transforms them; returns the baseline fit and one row of values
+    # at the baseline edges per replicate.
+    baseline_fit = estimate(x, config)
+    baseline = extract_edges(baseline_fit.omega)
+    rows = [e.i for e in baseline.edges]
+    cols = [e.j for e in baseline.edges]
+    values = []
+    for child in np.random.SeedSequence(seed).spawn(replicates):
+        rng = np.random.default_rng(child)
+        idx = index_sampler(rng, x.n) if index_sampler is not None else rng.integers(0, x.n, x.n)
+        xb = CompositionMatrix(x.values[np.asarray(idx, dtype=np.intp)])
+        if reuse_lambda:
+            w = clr_transform(xb).values
+            omega = threshold_matrix(
+                _subset_covariance(w, config),
+                baseline_fit.lambda_star,
+                w.shape[0],
+                config.rule,
+                threshold_diagonal=config.threshold_diagonal,
+            )
+        else:
+            omega = estimate(xb, config).omega
+        values.append(omega[rows, cols])
+    return baseline_fit, np.stack(values)
 
 
 # Entries are exact zeros or either sign; symmetrised from the upper triangle.
@@ -262,6 +296,45 @@ class TestBootstrapStability:
         from_container = bootstrap_stability(x, FAST, replicates=2, seed=4)
         from_array = bootstrap_stability(x.values, FAST, replicates=2, seed=4)
         assert from_container.baseline.occurrences == from_array.baseline.occurrences
+
+    @pytest.mark.parametrize("reuse_lambda", [False, True])
+    @pytest.mark.parametrize(
+        "index_sampler",
+        [None, lambda rng, n: np.sort(rng.choice(n, n - 10))],
+        ids=["default", "custom"],
+    )
+    def test_matches_per_replicate_clr_loop(self, monkeypatch, reuse_lambda, index_sampler):
+        x = case1_composition()
+        opts = dict(reuse_lambda=reuse_lambda, index_sampler=index_sampler)
+        parallel_map = stability.ordered_map
+        captured = []
+
+        def recording_map(fn, items):
+            out = parallel_map(fn, items)
+            captured.append(np.stack(out))
+            return out
+
+        monkeypatch.setattr(stability, "ordered_map", recording_map)
+        result = bootstrap_stability(x, FAST, replicates=4, seed=8, **opts)
+        fit, values = loop_replicate_values(x, FAST, 4, 8, **opts)
+        assert len(result.baseline) > 0
+        np.testing.assert_array_equal(result.baseline_omega, fit.omega)
+        assert result.lambda_star == fit.lambda_star
+        np.testing.assert_array_equal(captured[0], values)
+        assert np.array_equal(np.signbit(captured[0]), np.signbit(values))
+
+    @pytest.mark.parametrize("reuse_lambda", [False, True])
+    def test_clr_runs_once_per_call(self, monkeypatch, reuse_lambda):
+        calls = []
+
+        def counting_clr(x):
+            calls.append(x)
+            return clr_transform(x)
+
+        monkeypatch.setattr(stability, "clr_transform", counting_clr)
+        monkeypatch.setattr(tuning, "clr_transform", counting_clr)
+        bootstrap_stability(case1_composition(), FAST, replicates=3, reuse_lambda=reuse_lambda)
+        assert len(calls) == 1
 
     def test_rejects_bad_parameters(self):
         x = case1_composition(n=30, p=6)

@@ -23,7 +23,15 @@ from rcec import (
     threshold_matrix,
 )
 from rcec import tuning
-from rcec.tuning import PD_TOL, _is_pd, _subset_covariance, pd_floor_scan
+from rcec.tuning import PD_TOL, _is_pd, _parse_kv, _subset_covariance, pd_floor_scan
+
+
+def _kv_text(cfg):
+    # A config file setting every field of cfg: str() of a float is its
+    # shortest round-tripping text, and the rule is written as its spec.
+    return "".join(
+        f"{key} = {value}\n" for key, value in cfg.to_dict().items() if value is not None
+    )
 
 
 def _composition(case=1, n=60, p=10, seed=0):
@@ -73,7 +81,7 @@ class TestEstimatorConfig:
         ],
     )
     def test_kv_round_trip(self, cfg):
-        assert EstimatorConfig.from_kv(cfg.to_kv()) == cfg
+        assert EstimatorConfig(**_parse_kv(_kv_text(cfg))) == cfg
 
     @given(
         L=st.floats(min_value=0.0, exclude_min=True),
@@ -83,16 +91,15 @@ class TestEstimatorConfig:
     def test_kv_round_trip_keeps_every_float_bit(self, L, eta, a):
         for rule in (ThresholdRule.adaptive_lasso(eta), ThresholdRule.scad(a)):
             cfg = EstimatorConfig(L=L, rule=rule)
-            assert EstimatorConfig.from_kv(cfg.to_kv()) == cfg
+            assert EstimatorConfig(**_parse_kv(_kv_text(cfg))) == cfg
             assert ThresholdRule.parse(rule.spec()) == rule
 
     def test_kv_text_of_short_floats_is_unchanged(self):
-        cfg = EstimatorConfig(rule=ThresholdRule.scad(3.7), L=1.0)
-        assert "rule = scad:3.7\n" in cfg.to_kv()
-        assert "L = 1\n" in cfg.to_kv()
+        assert ThresholdRule.scad(3.7).spec() == "scad:3.7"
         assert ThresholdRule.adaptive_lasso(2.0).spec() == "alasso:2"
-        assert EstimatorConfig(L=1.2345678).to_kv().count("L = 1.2345678\n") == 1
         assert ThresholdRule.scad(3.123456789).spec() == "scad:3.123456789"
+        for spec in ("scad:3.7", "alasso:2", "scad:3.123456789"):
+            assert ThresholdRule.parse(spec).spec() == spec
 
     def test_to_dict_is_the_report_schema(self):
         cfg = EstimatorConfig(rule=ThresholdRule.adaptive_lasso(2.0), block_count=3)
@@ -111,23 +118,20 @@ class TestEstimatorConfig:
             "estimator", "rule", "folds", "grid_size", "L",
             "enforce_pd", "threshold_diagonal", "seed", "block_count",
         ]
-        assert "block_count" not in EstimatorConfig().to_kv()
 
     def test_kv_accepts_comments_and_blanks(self):
         text = "# pipeline settings\n\nfolds = 3\nrule = alasso:2\n"
-        cfg = EstimatorConfig.from_kv(text)
-        assert cfg.folds == 3
-        assert cfg.rule == ThresholdRule.adaptive_lasso(2.0)
+        assert _parse_kv(text) == {"folds": 3, "rule": ThresholdRule.adaptive_lasso(2.0)}
 
     def test_kv_rejects_bad_input(self):
         with pytest.raises(ValueError, match="unknown config key"):
-            EstimatorConfig.from_kv("lambda = 3\n")
+            _parse_kv("lambda = 3\n")
         with pytest.raises(ValueError, match="duplicate"):
-            EstimatorConfig.from_kv("folds = 3\nfolds = 4\n")
+            _parse_kv("folds = 3\nfolds = 4\n")
         with pytest.raises(ValueError, match="expected 'key = value'"):
-            EstimatorConfig.from_kv("folds: 3\n")
+            _parse_kv("folds: 3\n")
         with pytest.raises(ValueError, match="boolean"):
-            EstimatorConfig.from_kv("enforce_pd = maybe\n")
+            _parse_kv("enforce_pd = maybe\n")
 
 
 class TestLambdaGrid:
