@@ -67,8 +67,9 @@ def read_table(path: str):
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
     reader = csv.reader(io.StringIO(text))
-    # Blank lines are skipped; diagnostics name the physical line.
-    rows = [(reader.line_num, row) for row in reader if row]
+    # Blank and whitespace-only lines (one all-space field) are skipped;
+    # diagnostics name the physical line.
+    rows = [(reader.line_num, row) for row in reader if len(row) > 1 or (row and row[0].strip())]
     if len(rows) < 2:
         raise UsageError(f"{path}: expected a header row and at least one data row")
     taxa = [cell.strip() for cell in rows[0][1]]
@@ -89,11 +90,6 @@ def read_table(path: str):
                     f"{path}: line {line}, column {c + 1}: not a number: {cell!r}"
                 ) from None
     return taxa, data
-
-
-def _full(value: float) -> str:
-    # Shortest representation that round-trips; full precision.
-    return repr(float(value))
 
 
 class _OutputSet:
@@ -147,8 +143,10 @@ def write_matrix_csv(files: _OutputSet, path: Path, taxa, matrix: np.ndarray) ->
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([""] + list(taxa))
+    # Shortest representations that round-trip; converting row by row keeps
+    # p^2 Python floats from being alive at once.
     for name, row in zip(taxa, matrix):
-        writer.writerow([name] + [_full(v) for v in row])
+        writer.writerow([name, *map(repr, row.tolist())])
     files.write(path, buf.getvalue())
 
 
@@ -157,7 +155,7 @@ def write_samples_csv(files: _OutputSet, path: Path, taxa, matrix: np.ndarray) -
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(list(taxa))
     for row in matrix:
-        writer.writerow([_full(v) for v in row])
+        writer.writerow(map(repr, row.tolist()))
     files.write(path, buf.getvalue())
 
 

@@ -27,15 +27,17 @@ DEFAULT_ZERO_REPLACEMENT = 0.5
 def _as_matrix(
     values, what: str, *, square: bool = False, min_rows: int = 0, min_cols: int = 0
 ) -> np.ndarray:
-    """The package's one input check: a finite 2-d float64 array.
+    """The package's one input check: a finite 2-d C-ordered float64 array.
 
-    Accepts array_likes and the containers below (their ``values``).
+    Accepts array_likes and the containers below (their ``values``).  Any
+    other memory layout is copied to C order, so row reductions see the
+    same summation order whatever the caller's layout.
     ``square`` asks for a p x p matrix; ``min_rows`` and ``min_cols`` bound
     the sample and component counts.
     """
     if isinstance(values, _Table):
         values = values.values
-    arr = np.asarray(values, dtype=np.float64)
+    arr = np.asarray(values, dtype=np.float64, order="C")
     if arr.ndim != 2:
         raise ValueError(f"{what} must be a 2-d array, got ndim={arr.ndim}")
     n, p = arr.shape

@@ -12,6 +12,13 @@ Entry-level thresholds follow the variance-adaptive recipe
     lam_ij = lam * sqrt(gamma_ii * gamma_jj * log(p) / n)
 
 so a single scale-free tuning parameter ``lam`` serves all entries.
+
+Tuning thresholds one covariance at a whole grid of ``lam`` values, so the
+rules run through one kernel per covariance: it computes the lam-free parts
+(``|z|``, ``sign(z)`` and, for the clipped rule, ``(a - 1) z`` and
+``a sign(z)``) once and writes each threshold's estimate into buffers it
+reuses.  :func:`apply_rule` and :func:`threshold_matrix` build the same
+kernel for a single threshold.
 """
 
 from __future__ import annotations
@@ -112,24 +119,90 @@ def apply_rule(rule: ThresholdRule, z, lam) -> np.ndarray:
     lam = np.asarray(lam, dtype=np.float64)
     if np.any(lam < 0):
         raise ValueError("thresholds must be nonnegative")
-    return _apply_rule(rule, np.asarray(z, dtype=np.float64), lam)
+    z, lam = np.broadcast_arrays(np.asarray(z, dtype=np.float64), lam)
+    return _Kernel(rule, z)(lam)
 
 
-def _apply_rule(rule: ThresholdRule, z: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    absz = np.abs(z)
-    soft = np.sign(z) * np.maximum(absz - lam, 0.0)
-    if rule.kind == "soft":
-        return soft
-    if rule.kind == "alasso":
-        # lam / absz can overflow to inf for subnormal z; those entries sit
-        # in the |z| <= lam branch, so the intermediate is discarded.
+class _Kernel:
+    """One rule applied to one array ``z`` at many thresholds.
+
+    The lam-free arrays are computed once, at construction.  A call runs
+    the rule's elementwise operations for thresholds ``t`` (broadcastable to
+    ``z``) into buffers of ``z``'s shape and returns its one output buffer,
+    which the next call overwrites completely, so a caller may also scribble
+    on it.  With ``keep_diagonal`` the diagonal of a square ``z`` is written
+    back after each call.  Branches are selected with ``np.putmask``: it
+    copies entries bit for bit, signed zeros included, and ran faster than
+    ``np.copyto(..., where=)`` on the scattered masks a covariance gives.
+    """
+
+    def __init__(self, rule: ThresholdRule, z: np.ndarray, keep_diagonal: bool = False):
+        self.rule = rule
+        self.z = z
+        self.absz = np.abs(z)
+        self.sign = np.sign(z)
+        self.diagonal = np.diag(z) if keep_diagonal else None
+        self.out = np.empty(z.shape)
+        if rule.kind == "alasso":
+            self.at_most_t = np.empty(z.shape, dtype=bool)
+        if rule.kind == "scad":
+            self.slope = (rule.a - 1.0) * z
+            self.step = self.sign * rule.a
+            self.work = np.empty(z.shape)
+            self.beyond_2t = np.empty(z.shape, dtype=bool)
+            self.beyond_at = np.empty(z.shape, dtype=bool)
+
+    def __call__(self, t) -> np.ndarray:
+        kind = self.rule.kind
+        if kind == "soft":
+            self._soft(t, self.out)
+        elif kind == "alasso":
+            self._alasso(t)
+        else:
+            self._scad(t)
+        if self.diagonal is not None:
+            np.fill_diagonal(self.out, self.diagonal)
+        return self.out
+
+    def _soft(self, t, out):
+        # sign(z) * max(|z| - t, 0)
+        np.subtract(self.absz, t, out=out)
+        np.maximum(out, 0.0, out=out)
+        np.multiply(self.sign, out, out=out)
+
+    def _alasso(self, t):
+        # z * max(1 - (t / |z|) ** eta, 0), and 0 where |z| <= t.  t / |z|
+        # can overflow to inf for subnormal z; those entries sit in the
+        # |z| <= t branch, so the intermediate is discarded.
+        out = self.out
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            fade = 1.0 - (lam / absz) ** rule.eta
-        return np.where(absz <= lam, 0.0, z * np.maximum(fade, 0.0))
-    # scad: soft up to 2*lam, linear interpolation to the identity at a*lam.
-    a = rule.a
-    mid = ((a - 1.0) * z - np.sign(z) * a * lam) / (a - 2.0)
-    return np.where(absz <= 2.0 * lam, soft, np.where(absz <= a * lam, mid, z))
+            np.divide(t, self.absz, out=out)
+            out **= self.rule.eta  # the operator keeps numpy's exponent fast paths
+            np.subtract(1.0, out, out=out)
+        np.maximum(out, 0.0, out=out)
+        np.multiply(self.z, out, out=out)
+        np.less_equal(self.absz, t, out=self.at_most_t)
+        np.putmask(out, self.at_most_t, 0.0)
+
+    def _scad(self, t):
+        # Soft where |z| <= 2t, else ((a - 1) z - a sign(z) t) / (a - 2)
+        # where |z| <= a t, else z.  The masks negate "<=" so that a NaN
+        # threshold still selects z; they mark the few large entries, so
+        # the masked copies touch little on most of a grid.
+        a = self.rule.a
+        out, work = self.out, self.work
+        self._soft(t, out)
+        np.multiply(2.0, t, out=work)
+        np.less_equal(self.absz, work, out=self.beyond_2t)
+        np.logical_not(self.beyond_2t, out=self.beyond_2t)
+        np.multiply(a, t, out=work)
+        np.less_equal(self.absz, work, out=self.beyond_at)
+        np.logical_not(self.beyond_at, out=self.beyond_at)
+        np.multiply(self.step, t, out=work)
+        np.subtract(self.slope, work, out=work)
+        np.divide(work, a - 2.0, out=work)
+        np.putmask(work, self.beyond_at, self.z)
+        np.putmask(out, self.beyond_2t, work)
 
 
 def _clamp_notes(arr: np.ndarray) -> list:
@@ -163,14 +236,6 @@ def _entry_scale(arr: np.ndarray, n: int) -> np.ndarray:
     return np.sqrt(np.outer(d, d) * (math.log(arr.shape[0]) / n))
 
 
-def _threshold_at(rule, arr, thresholds, threshold_diagonal) -> np.ndarray:
-    # Kernel behind threshold_matrix and the tuning grid loop.
-    out = _apply_rule(rule, arr, thresholds)
-    if not threshold_diagonal:
-        np.fill_diagonal(out, np.diag(arr))
-    return out
-
-
 def threshold_matrix(
     gamma,
     lam: float,
@@ -190,4 +255,5 @@ def threshold_matrix(
     arr = _as_matrix(gamma, "covariance", square=True)
     if not (lam >= 0):
         raise ValueError(f"lam must be nonnegative, got {lam!r}")
-    return _threshold_at(rule, arr, lam * _entry_scale(arr, n), threshold_diagonal)
+    kernel = _Kernel(rule, arr, keep_diagonal=not threshold_diagonal)
+    return kernel(lam * _entry_scale(arr, n))

@@ -26,7 +26,7 @@ from .threshold import (
     ThresholdRule,
     _clamp_notes,
     _entry_scale,
-    _threshold_at,
+    _Kernel,
     threshold_matrix,
 )
 
@@ -227,9 +227,12 @@ def _as_grid(grid) -> np.ndarray:
 
 def _threshold_grid(arr, scale, grid, config: EstimatorConfig):
     # The estimate at each grid value, from one entry scale; the covariance
-    # and the grid are validated.
+    # and the grid are validated.  Every value is the kernel's one output
+    # buffer: the next value overwrites it, so use each before advancing.
+    kernel = _Kernel(config.rule, arr, keep_diagonal=not config.threshold_diagonal)
+    thresholds = np.empty_like(arr)
     for lam in grid:
-        yield _threshold_at(config.rule, arr, lam * scale, config.threshold_diagonal)
+        yield kernel(np.multiply(lam, scale, out=thresholds))
 
 
 def make_folds(n: int, folds: int, seed: int) -> list:
@@ -284,8 +287,10 @@ def cv_select(W, config: EstimatorConfig, *, grid=None):
         gamma_test = _subset_covariance(test, config)
         scale = _entry_scale(gamma_train, train.shape[0])
         for g, omega in enumerate(_threshold_grid(gamma_train, scale, grid, config)):
-            diff = omega - gamma_test
-            errors[v, g] = float((diff * diff).sum())
+            # Squared Frobenius distance, computed in the kernel's buffer.
+            np.subtract(omega, gamma_test, out=omega)
+            np.multiply(omega, omega, out=omega)
+            errors[v, g] = float(omega.sum())
     mean_errors = errors.mean(axis=0)
     best = int(np.flatnonzero(mean_errors == mean_errors.min())[-1])
     curve = np.column_stack([grid, mean_errors])
@@ -310,10 +315,18 @@ def _is_pd(omega: np.ndarray) -> bool:
     eigenvalue exceeds ``s``, up to rounding of order ``p eps ||omega||``.
     Shifting by a ``delta`` well beyond that rounding on either side of
     ``PD_TOL`` settles every matrix whose smallest eigenvalue lies outside
-    the band ``PD_TOL +- delta``; inside it the eigenvalue decides.
+    the band ``PD_TOL +- delta``; inside it the eigenvalue decides.  A
+    symmetric ``omega`` whose Gershgorin lower bound on the eigenvalues
+    already clears the band needs no factorization.
     """
     p = omega.shape[0]
-    delta = _CHOLESKY_MARGIN * p * np.finfo(np.float64).eps * np.abs(omega).sum(axis=0).max()
+    colsum = np.abs(omega).sum(axis=0)
+    delta = _CHOLESKY_MARGIN * p * np.finfo(np.float64).eps * colsum.max()
+    # Gershgorin: every eigenvalue is at least min_i (d_i - sum_{j != i}
+    # |omega_ij|); the column sums already hold |d_i| + that sum.
+    diag = np.diag(omega)
+    if (diag + np.abs(diag) - colsum).min() > PD_TOL + delta:
+        return True
     if _factors(omega, PD_TOL + delta):
         return True
     if not _factors(omega, max(PD_TOL - delta, 0.0)):

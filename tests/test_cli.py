@@ -66,6 +66,27 @@ class TestReadTable:
         assert taxa == ["a", "b"]
         np.testing.assert_array_equal(data, [[0.5, 0.5], [0.4, 0.6]])
 
+    @pytest.mark.parametrize(
+        "text",
+        ["a,b\n0.5,0.5\n0.4,0.6\n   \n", "a,b\n0.5,0.5\n \t \n0.4,0.6\n", "  \na,b\n0.5,0.5\n0.4,0.6\n"],
+        ids=["trailing", "middle", "leading"],
+    )
+    def test_skips_whitespace_only_lines(self, tmp_path, text):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        taxa, data = read_table(str(path))
+        assert taxa == ["a", "b"]
+        np.testing.assert_array_equal(data, [[0.5, 0.5], [0.4, 0.6]])
+
+    def test_reports_physical_line_after_whitespace_only_lines(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b\n   \n0.5,0.5\n\t\n0.4,oops\n")
+        with pytest.raises(UsageError, match=r"line 5, column 2: not a number"):
+            read_table(str(path))
+        path.write_text("a,b\n0.5,0.5\n  \n , \n")
+        with pytest.raises(UsageError, match=r"line 4, column 1: not a number: ' '"):
+            read_table(str(path))
+
     def test_reports_physical_line_after_blank_lines(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("a,b\n\n0.5,0.5\n\n\n0.4,oops\n0.1\n")

@@ -65,6 +65,12 @@ class TestContainers:
         with pytest.raises(ValueError, match="finite"):
             CompositionMatrix([[np.nan, 1.0], [0.5, 0.5]])
 
+    def test_values_are_c_ordered_whatever_the_input_layout(self):
+        x = basis_to_composition(sample_case(1, 60, 20, 0)).values
+        f_order = CompositionMatrix(np.asfortranarray(x))
+        assert f_order.values.flags.c_contiguous
+        np.testing.assert_array_equal(clr_transform(f_order).values, clr_transform(x).values)
+
     def test_clr_matrix_rejects_noncentered_rows(self):
         with pytest.raises(ValueError, match="sum"):
             ClrMatrix([[1.0, 1.0], [0.5, -0.5]])

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from rcec import ThresholdRule, apply_rule, threshold_matrix
+from rcec import EstimatorConfig, ThresholdRule, apply_rule, threshold_matrix
+from rcec.threshold import _entry_scale
+from rcec.tuning import _threshold_grid
 
 RULES = [
     ThresholdRule.soft(),
@@ -266,3 +269,119 @@ class TestThresholdMatrix:
             if previous is not None:
                 assert support <= previous
             previous = support
+
+
+def reference_apply_rule(rule, z, lam):
+    # The rules as plain numpy expressions, one fresh array per operation;
+    # the kernel must reproduce them bit for bit, signed zeros included.
+    z = np.asarray(z, dtype=np.float64)
+    lam = np.asarray(lam, dtype=np.float64)
+    absz = np.abs(z)
+    soft = np.sign(z) * np.maximum(absz - lam, 0.0)
+    if rule.kind == "soft":
+        return soft
+    if rule.kind == "alasso":
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            fade = 1.0 - (lam / absz) ** rule.eta
+        return np.where(absz <= lam, 0.0, z * np.maximum(fade, 0.0))
+    a = rule.a
+    mid = ((a - 1.0) * z - np.sign(z) * a * lam) / (a - 2.0)
+    return np.where(absz <= 2.0 * lam, soft, np.where(absz <= a * lam, mid, z))
+
+
+def reference_threshold_matrix(gamma, lam, n, rule, threshold_diagonal):
+    out = reference_apply_rule(rule, gamma, lam * _entry_scale(gamma, n))
+    if not threshold_diagonal:
+        np.fill_diagonal(out, np.diag(gamma))
+    return out
+
+
+def assert_same_bits(actual, expected):
+    np.testing.assert_array_equal(actual, expected)
+    np.testing.assert_array_equal(np.signbit(actual), np.signbit(expected))
+
+
+KERNEL_RULES = [
+    ThresholdRule.soft(),
+    ThresholdRule.adaptive_lasso(1.0),
+    ThresholdRule.adaptive_lasso(1.5),
+    ThresholdRule.adaptive_lasso(2.0),
+    ThresholdRule.adaptive_lasso(4.0),
+    ThresholdRule.scad(2.5),
+    ThresholdRule.scad(3.7),
+]
+
+
+def boundary_covariance(lam, n, a, seed, p=12):
+    # Symmetric matrix whose off-diagonal entries sit exactly on the rule
+    # boundaries t, 2t and a t of the entry thresholds t = lam * scale (one
+    # ulp either side too), at +-0, or anywhere up to 4t; every kind of
+    # entry appears with both signs.
+    rng = np.random.default_rng(seed)
+    gamma = np.diag(rng.uniform(0.5, 2.0, p))
+    t = lam * _entry_scale(gamma, n)
+    up = np.inf
+    makers = [
+        lambda t: t,
+        lambda t: 2.0 * t,
+        lambda t: a * t,
+        lambda t: np.nextafter(t, up),
+        lambda t: np.nextafter(2.0 * t, up),
+        lambda t: np.nextafter(a * t, 0.0),
+        lambda t: 0.0 * t,
+        lambda t: rng.uniform(0.0, 4.0) * t,
+    ]
+    upper = zip(*np.triu_indices(p, 1))
+    for k, (i, j) in enumerate(upper):
+        value = makers[k % len(makers)](t[i, j])
+        if (k // len(makers)) % 2:
+            value = -value
+        gamma[i, j] = gamma[j, i] = value
+    return gamma
+
+
+class TestKernelMatchesReference:
+    @pytest.mark.parametrize("rule", KERNEL_RULES, ids=ThresholdRule.spec)
+    @pytest.mark.parametrize("threshold_diagonal", [False, True])
+    def test_threshold_matrix_on_rule_boundaries(self, rule, threshold_diagonal):
+        n = 50
+        for seed in range(4):
+            for lam in (0.0, 0.4, 1.3):
+                gamma = boundary_covariance(lam, n, rule.a, seed)
+                out = threshold_matrix(gamma, lam, n, rule, threshold_diagonal=threshold_diagonal)
+                expected = reference_threshold_matrix(gamma, lam, n, rule, threshold_diagonal)
+                assert_same_bits(out, expected)
+
+    @pytest.mark.parametrize("rule", KERNEL_RULES, ids=ThresholdRule.spec)
+    @pytest.mark.parametrize("threshold_diagonal", [False, True])
+    def test_grid_buffer_is_rewritten_at_every_value(self, rule, threshold_diagonal):
+        # The grid yields one buffer; scribbling on it must not leak into
+        # the next value.
+        n = 50
+        gamma = boundary_covariance(0.7, n, rule.a, seed=9)
+        config = EstimatorConfig(rule=rule, threshold_diagonal=threshold_diagonal)
+        grid = np.array([0.0, 0.35, 0.7, 0.7 * 2.0, 3.0])
+        scale = _entry_scale(gamma, n)
+        seen = 0
+        for lam, omega in zip(grid, _threshold_grid(gamma, scale, grid, config)):
+            expected = reference_threshold_matrix(gamma, lam, n, rule, threshold_diagonal)
+            assert_same_bits(omega, expected)
+            omega.fill(np.nan)
+            seen += 1
+        assert seen == grid.size
+
+    @pytest.mark.parametrize("rule", KERNEL_RULES, ids=ThresholdRule.spec)
+    @given(
+        z=hnp.arrays(np.float64, st.integers(1, 30), elements=finite),
+        lam=nonneg,
+    )
+    def test_apply_rule_on_any_values(self, rule, z, lam):
+        assert_same_bits(apply_rule(rule, z, lam), reference_apply_rule(rule, z, lam))
+
+    @pytest.mark.parametrize("rule", KERNEL_RULES, ids=ThresholdRule.spec)
+    def test_apply_rule_broadcasts_like_the_reference(self, rule):
+        z = np.array([[-2.0], [-0.0], [0.0], [0.5], [3.7]])
+        lam = np.array([[0.0, 0.25, 0.5, 1.0, 10.0]])
+        assert_same_bits(apply_rule(rule, z, lam), reference_apply_rule(rule, z, lam))
+        assert_same_bits(apply_rule(rule, lam, z * z), reference_apply_rule(rule, lam, z * z))
+        assert_same_bits(apply_rule(rule, -1.5, 0.5), reference_apply_rule(rule, -1.5, 0.5))

@@ -304,6 +304,17 @@ def _with_smallest_eigenvalue(p, lam_min, spread, seed):
     return (omega + omega.T) / 2.0
 
 
+def _diagonally_dominant(p, margin, spread, seed):
+    # Symmetric off-diagonal part plus a diagonal that exceeds each row's
+    # off-diagonal absolute sum by margin.
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-spread, spread, size=(p, p))
+    omega = (a + a.T) / 2.0
+    np.fill_diagonal(omega, 0.0)
+    np.fill_diagonal(omega, np.abs(omega).sum(axis=1) + margin)
+    return omega
+
+
 class TestPdDecision:
     """The PD floor's Cholesky test gives the eigenvalue's answer."""
 
@@ -330,6 +341,34 @@ class TestPdDecision:
         assert not _is_pd(_with_smallest_eigenvalue(20, -1e-3, 1.0, 0))
         assert calls == []
         _is_pd(_with_smallest_eigenvalue(20, PD_TOL, 1.0, 0))
+        assert calls == [1]
+
+    @given(
+        p=st.integers(2, 40),
+        margin=st.one_of(
+            st.floats(10.0, 1e6).map(lambda f: f * PD_TOL),
+            st.floats(-10.0, 0.5 * PD_TOL),
+            st.integers(-10, 10).map(lambda k: PD_TOL * (1 + k * 1e-4)),
+        ),
+        spread=st.floats(1e-3, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_agrees_with_min_eigenvalue_when_diagonally_dominant(self, p, margin, spread, seed):
+        # Each diagonal entry exceeds its row's off-diagonal mass by margin,
+        # so the Gershgorin bound sits near the floor from either side.
+        omega = _diagonally_dominant(p, margin, spread, seed)
+        assert _is_pd(omega) == (min_eigenvalue(omega) > PD_TOL)
+
+    def test_diagonally_dominant_needs_no_factorization(self, monkeypatch):
+        calls = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(1) or cholesky(a))
+        monkeypatch.setattr(
+            tuning, "min_eigenvalue", lambda a: calls.append(2) or min_eigenvalue(a)
+        )
+        assert _is_pd(_diagonally_dominant(30, 1e-3, 1.0, 0))
+        assert calls == []
+        assert _is_pd(_with_smallest_eigenvalue(20, 1e-3, 1.0, 0))
         assert calls == [1]
 
 
@@ -374,8 +413,7 @@ def _reference_cv_curve(values, config, grid):
                 g_tr, float(lam), int(mask.sum()), config.rule,
                 threshold_diagonal=config.threshold_diagonal,
             )
-            diff = omega - g_te
-            errors[v, g] = float((diff * diff).sum())
+            errors[v, g] = float(((omega - g_te) ** 2).sum())
     return np.column_stack([grid, errors.mean(axis=0)])
 
 
@@ -421,6 +459,19 @@ class TestGridLoop:
         assert np.array_equal(curve, ref_curve)
         best = np.flatnonzero(ref_curve[:, 1] == ref_curve[:, 1].min())[-1]
         assert lam == grid[best]
+
+    @pytest.mark.parametrize("estimator", ["rcec", "coat"])
+    @pytest.mark.parametrize("rule", RULES, ids=ThresholdRule.spec)
+    def test_curve_matches_the_loop_at_pairwise_sum_sizes(self, rule, estimator):
+        # p = 40 gives 1600 entries per squared distance, enough for numpy's
+        # pairwise summation to split blocks: the in-place fold score must
+        # sum in the same order as the fresh array of the loop.
+        x = _composition(case=4, n=80, p=40, seed=6)
+        w = clr_transform(x).values
+        config = EstimatorConfig(estimator=estimator, rule=rule, seed=3)
+        grid = lambda_grid(_subset_covariance(w, config), 80, 30)
+        lam, curve = cv_select(w, config, grid=grid)
+        assert np.array_equal(curve, _reference_cv_curve(w, config, grid))
 
     @pytest.mark.parametrize("bad", [-0.5, float("nan")])
     def test_negative_or_nan_grid_value_rejected(self, bad):
@@ -488,6 +539,15 @@ class TestEstimatePipeline:
         np.testing.assert_array_equal(rcec_m1.omega, coat.omega)
         np.testing.assert_array_equal(rcec_m1.gamma, coat.gamma)
         assert rcec_m1.lambda_star == coat.lambda_star
+
+    def test_memory_layout_does_not_change_bits(self):
+        x = _composition(case=1, n=60, p=20, seed=0).values
+        c_order = estimate(x, EstimatorConfig(seed=0))
+        f_order = estimate(np.asfortranarray(x), EstimatorConfig(seed=0))
+        np.testing.assert_array_equal(f_order.gamma, c_order.gamma)
+        np.testing.assert_array_equal(f_order.omega, c_order.omega)
+        np.testing.assert_array_equal(f_order.cv_curve, c_order.cv_curve)
+        assert f_order.lambda_star == c_order.lambda_star
 
     def test_column_permutation_equivariance(self):
         x = _composition(case=1, n=60, p=6, seed=9)
