@@ -155,7 +155,7 @@ class _Kernel:
     def __call__(self, t) -> np.ndarray:
         kind = self.rule.kind
         if kind == "soft":
-            self._soft(t, self.out)
+            self._soft(t)
         elif kind == "alasso":
             self._alasso(t)
         else:
@@ -164,8 +164,9 @@ class _Kernel:
             np.fill_diagonal(self.out, self.diagonal)
         return self.out
 
-    def _soft(self, t, out):
+    def _soft(self, t):
         # sign(z) * max(|z| - t, 0)
+        out = self.out
         np.subtract(self.absz, t, out=out)
         np.maximum(out, 0.0, out=out)
         np.multiply(self.sign, out, out=out)
@@ -191,7 +192,7 @@ class _Kernel:
         # the masked copies touch little on most of a grid.
         a = self.rule.a
         out, work = self.out, self.work
-        self._soft(t, out)
+        self._soft(t)
         np.multiply(2.0, t, out=work)
         np.less_equal(self.absz, work, out=self.beyond_2t)
         np.logical_not(self.beyond_2t, out=self.beyond_2t)
