@@ -14,16 +14,14 @@ outcome, so a plain ``pytest`` run shows the scoreboard.
 import functools
 import json
 import math
-import os
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import RCEC_FILE, cli_env
 
-import rcec
 from rcec import (
     BenchmarkSpec,
     EstimatorConfig,
@@ -347,27 +345,6 @@ def test_criterion_10_cv_oracle(capsys):
 # ---------------------------------------------------------------------------
 # criterion 11: CLI determinism and thread invariance
 
-# The package under test, as this process imported it.  The CLI subprocesses
-# run in their own working directories, where a relative PYTHONPATH entry
-# (the no-install ``PYTHONPATH=src`` route) no longer resolves; putting the
-# absolute directory that holds this package first makes every child import
-# the same code, whether it came from PYTHONPATH or an editable install.
-_RCEC_FILE = Path(rcec.__file__).resolve()
-_RCEC_ROOT = _RCEC_FILE.parents[1]
-
-
-def _cli_env(env=None):
-    full_env = dict(os.environ)
-    full_env.pop("RCEC_THREADS", None)
-    inherited = full_env.get("PYTHONPATH")
-    full_env["PYTHONPATH"] = os.pathsep.join(
-        [str(_RCEC_ROOT)] + ([inherited] if inherited else [])
-    )
-    if env:
-        full_env.update(env)
-    return full_env
-
-
 def _describe(proc, cwd):
     return (
         f"exit code {proc.returncode} in cwd {cwd}\n"
@@ -382,15 +359,15 @@ def _check_cli_package(cwd):
     proc = subprocess.run(
         [sys.executable, "-c", probe],
         cwd=cwd,
-        env=_cli_env(),
+        env=cli_env(),
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, f"child cannot import rcec: {_describe(proc, cwd)}"
     child_file = proc.stdout.strip()
-    assert child_file == str(_RCEC_FILE), (
+    assert child_file == str(RCEC_FILE), (
         f"CLI subprocess imports rcec from {child_file}, "
-        f"but the tests imported it from {_RCEC_FILE}"
+        f"but the tests imported it from {RCEC_FILE}"
     )
 
 
@@ -399,7 +376,7 @@ def _run_cli(args, cwd, env=None):
     proc = subprocess.run(
         [sys.executable, "-m", "rcec", *args],
         cwd=cwd,
-        env=_cli_env(env),
+        env=cli_env(env),
         capture_output=True,
         text=True,
     )
