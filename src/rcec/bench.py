@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .compdata import _check_seed
+from .compdata import _check_count, _check_seed
 from .metrics import (
     frobenius_loss,
     matrix_l1_loss,
@@ -27,14 +27,14 @@ from .metrics import (
 )
 from .parallel import ordered_map
 from .simgen import basis_to_composition, build_omega0, get_case, sample_case
-from .tuning import EstimatorConfig, estimate, estimate_from_latent
+from .tuning import ESTIMATOR_KINDS, EstimatorConfig, estimate, estimate_from_latent
 
 # Fixed metric order for tables.
 METRICS = ("matrix_l1", "spectral", "frobenius", "tpr", "fpr")
 
 # "oracle" is not an EstimatorConfig kind: it runs the rcec pipeline on the
 # latent basis data, sidestepping the compositional distortion entirely.
-BENCH_ESTIMATORS = ("rcec", "coat", "oracle")
+BENCH_ESTIMATORS = ESTIMATOR_KINDS + ("oracle",)
 
 
 @dataclass(frozen=True)
@@ -55,17 +55,13 @@ class BenchmarkSpec:
             get_case(c)
         if not self.p_values:
             raise ValueError("at least one dimension is required")
-        if self.n < 4:
-            raise ValueError(f"n must be >= 4, got {self.n}")
-        if self.replications < 1:
-            raise ValueError(f"replications must be >= 1, got {self.replications}")
+        _check_count(self.n, "n", 4)
+        _check_count(self.replications, "replications", 1)
         if not self.estimators:
             raise ValueError("at least one estimator is required")
         for e in self.estimators:
             if e not in BENCH_ESTIMATORS:
-                raise ValueError(
-                    f"unknown estimator {e!r}; expected one of {BENCH_ESTIMATORS}"
-                )
+                raise ValueError(f"unknown estimator {e!r}; expected one of {BENCH_ESTIMATORS}")
         _check_seed(self.seed)
 
 

@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .bench import (
+    BENCH_ESTIMATORS,
     BenchmarkSpec,
     records_to_csv,
     rows_to_csv,
@@ -38,9 +39,9 @@ from .bench import (
 from .compdata import DEFAULT_ZERO_REPLACEMENT, CompositionMatrix, close_counts
 from .parallel import worker_count
 from .simgen import CASES, _check_dimension, get_case, basis_to_composition, sample_case
-from .stability import bootstrap_stability
+from .stability import DEFAULT_REPLICATES, DEFAULT_RETAIN, bootstrap_stability
 from .threshold import ThresholdRule
-from .tuning import EstimatorConfig, _parse_kv, estimate
+from .tuning import ESTIMATOR_KINDS, EstimatorConfig, _parse_kv, estimate
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -421,7 +422,7 @@ def _input_options() -> argparse.ArgumentParser:
         type=float,
         default=DEFAULT_ZERO_REPLACEMENT,
         metavar="Z",
-        help="pseudo-count for zero counts (default 0.5)",
+        help="pseudo-count for zero counts (default %(default)g)",
     )
     return parent
 
@@ -430,26 +431,27 @@ def _estimator_options(with_estimator: bool) -> argparse.ArgumentParser:
     # Each dest is the EstimatorConfig field the flag sets; an absent flag
     # stays out of the namespace, so a value from --config survives.
     # benchmark leaves out --estimator: its arms come from --estimators.
+    defaults = EstimatorConfig()
     parent = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     group = parent.add_argument_group("estimator options")
     group.add_argument("--config", metavar="FILE", help="flat key = value config file")
     if with_estimator:
         group.add_argument(
             "--estimator",
-            choices=("rcec", "coat"),
-            help="covariance estimator (default rcec)",
+            choices=ESTIMATOR_KINDS,
+            help=f"covariance estimator (default {defaults.estimator})",
         )
     group.add_argument(
         "--rule",
         metavar="RULE",
-        help="thresholding rule: soft, alasso:<eta> or scad:<a> (default soft)",
+        help=f"thresholding rule: soft, alasso:<eta> or scad:<a> (default {defaults.rule.spec()})",
     )
-    group.add_argument("--folds", type=int, metavar="V", help="CV fold count (default 5)")
+    group.add_argument("--folds", type=int, metavar="V", help=f"CV fold count (default {defaults.folds})")
     group.add_argument(
-        "--grid-size", type=int, metavar="G", help="tuning grid size (default 50)"
+        "--grid-size", type=int, metavar="G", help=f"tuning grid size (default {defaults.grid_size})"
     )
     group.add_argument(
-        "--L", type=float, metavar="L", help="block-count aggressiveness (default 1)"
+        "--L", type=float, metavar="L", help=f"block-count aggressiveness (default {defaults.L:g})"
     )
     group.add_argument(
         "--no-pd",
@@ -462,8 +464,12 @@ def _estimator_options(with_estimator: bool) -> argparse.ArgumentParser:
         action="store_true",
         help="threshold variance entries as well",
     )
-    group.add_argument("--seed", type=int, metavar="S", help="seed (default 0)")
+    group.add_argument("--seed", type=int, metavar="S", help=f"seed (default {defaults.seed})")
     return parent
+
+
+def _join(values) -> str:
+    return ",".join(map(str, values))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -491,18 +497,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", default="samples.csv", metavar="FILE", help="output CSV")
     p_sim.set_defaults(func=cmd_simulate)
 
+    spec = BenchmarkSpec()
     own = argparse.ArgumentParser(add_help=False)
-    own.add_argument("--cases", default="1,2,3,4", metavar="LIST", help="cases, e.g. 1,2 (default all)")
-    own.add_argument("--p", default="50,100,200", metavar="LIST", help="dimensions (default 50,100,200)")
-    own.add_argument("--n", type=int, default=100, help="sample count (default 100)")
+    own.add_argument("--cases", default=_join(spec.cases), metavar="LIST", help="cases, e.g. 1,2 (default all)")
+    own.add_argument("--p", default=_join(spec.p_values), metavar="LIST", help="dimensions (default %(default)s)")
+    own.add_argument("--n", type=int, default=spec.n, help="sample count (default %(default)s)")
     own.add_argument(
-        "--replications", type=int, default=100, metavar="R", help="replications per cell (default 100)"
+        "--replications", type=int, default=spec.replications, metavar="R",
+        help="replications per cell (default %(default)s)",
     )
     own.add_argument(
         "--estimators",
-        default="rcec,coat",
+        default=_join(spec.estimators),
         metavar="LIST",
-        help="arms from rcec,coat,oracle (default rcec,coat)",
+        help=f"arms from {_join(BENCH_ESTIMATORS)} (default %(default)s)",
     )
     own.add_argument("--out", default="bench_out", metavar="DIR", help="output directory")
     # No abbreviations: --estimator would otherwise be read as --estimators.
@@ -514,8 +522,14 @@ def build_parser() -> argparse.ArgumentParser:
     ).set_defaults(func=cmd_benchmark)
 
     own = argparse.ArgumentParser(add_help=False)
-    own.add_argument("--bootstrap", "-B", type=int, default=100, metavar="B", help="replicates (default 100)")
-    own.add_argument("--retain", type=int, default=50, metavar="K", help="stability cutoff (default 50)")
+    own.add_argument(
+        "--bootstrap", "-B", type=int, default=DEFAULT_REPLICATES, metavar="B",
+        help="replicates (default %(default)s)",
+    )
+    own.add_argument(
+        "--retain", type=int, default=DEFAULT_RETAIN, metavar="K",
+        help="stability cutoff (default %(default)s)",
+    )
     own.add_argument(
         "--reuse-lambda",
         action="store_true",

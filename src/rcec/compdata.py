@@ -61,6 +61,15 @@ def _check_seed(seed) -> int:
     return int(seed)
 
 
+def _check_count(value, name: str, minimum: int) -> int:
+    """The package's one count check: an integer (not a bool or a float) >= ``minimum``."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class _Table:
     """Validated samples-by-components table (at least 2 of each)."""

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compdata import _as_matrix
+from .compdata import _as_matrix, _check_count
 
 
 def _pair(a, b):
@@ -106,8 +106,7 @@ def support_metrics(estimate, truth) -> SupportMetrics:
 
 def centering_matrix(p: int) -> np.ndarray:
     """``G = I - J/p``, the projection removing the all-ones direction."""
-    if p < 2:
-        raise ValueError(f"p must be >= 2, got {p}")
+    p = _check_count(p, "p", 2)
     return np.eye(p) - np.full((p, p), 1.0 / p)
 
 

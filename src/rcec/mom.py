@@ -22,6 +22,12 @@ multi-``kth`` partition selects in them, and the sort needs no second buffer.
 The median is then the mean of the middle one or two sorted values, which is
 how ``np.median`` computes it, so the result is bitwise equal to
 ``np.median`` over the block axis.
+
+Both estimators are bitwise symmetric with no symmetrizing pass:
+``block.T @ block`` runs as a BLAS rank-k update that computes one triangle
+and mirrors it (numpy's own loop sums (i, j) and (j, i) in the same order),
+the packed median is written to both triangles, and the outer product of
+the means is symmetric because multiplication commutes.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import math
 
 import numpy as np
 
-from .compdata import _as_matrix
+from .compdata import _as_matrix, _check_count
 
 
 def default_block_count(p: int, L: float = 1.0, n_cap: int | None = None) -> int:
@@ -40,16 +46,13 @@ def default_block_count(p: int, L: float = 1.0, n_cap: int | None = None) -> int
     (fewer, larger blocks); the caller passes the sample count as ``n_cap``
     so the partition never degenerates below one sample per block.
     """
-    if p < 2:
-        raise ValueError(f"p must be >= 2, got {p}")
+    p = _check_count(p, "p", 2)
     if not (L > 0):
         raise ValueError(f"L must be > 0, got {L!r}")
     m = math.ceil((2.0 + L) * math.log(p))
     if n_cap is not None:
-        if n_cap < 1:
-            raise ValueError(f"n_cap must be >= 1, got {n_cap}")
-        m = min(m, int(n_cap))
-    return int(m)
+        m = min(m, _check_count(n_cap, "n_cap", 1))
+    return m
 
 
 def _block_moments(block: np.ndarray):
@@ -60,15 +63,10 @@ def _block_moments(block: np.ndarray):
     return mean, second
 
 
-def _symmetrize(a: np.ndarray) -> np.ndarray:
-    # Exact no-op when a is already bitwise symmetric.
-    return (a + a.T) / 2.0
-
-
 def sample_covariance(W) -> np.ndarray:
     """Sample covariance with divisor n (not n - 1)."""
     mean, second = _block_moments(_as_matrix(W, "data matrix", min_rows=2))
-    return _symmetrize(second - np.outer(mean, mean))
+    return second - np.outer(mean, mean)
 
 
 def mom_covariance(W, block_count: int) -> np.ndarray:
@@ -91,9 +89,7 @@ def mom_covariance(W, block_count: int) -> np.ndarray:
     """
     arr = _as_matrix(W, "data matrix", min_rows=2)
     n, p = arr.shape
-    block_count = int(block_count)
-    if block_count < 1:
-        raise ValueError(f"block_count must be >= 1, got {block_count}")
+    block_count = _check_count(block_count, "block_count", 1)
     if block_count > n:
         raise ValueError(f"block_count {block_count} exceeds sample count {n}")
     upper = np.triu(np.ones((p, p), dtype=bool))
@@ -108,4 +104,4 @@ def mom_covariance(W, block_count: int) -> np.ndarray:
     med_second[upper] = middle
     med_second.T[upper] = middle
     med_mean = np.median(means, axis=0)
-    return _symmetrize(med_second - np.outer(med_mean, med_mean))
+    return med_second - np.outer(med_mean, med_mean)

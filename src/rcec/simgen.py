@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compdata import CompositionMatrix, _as_matrix, _check_seed
+from .compdata import CompositionMatrix, _as_matrix, _check_count, _check_seed
 
 # Band radius of the Toeplitz block: entry (i, j) is (1 - |i - j| / 10)+.
 BAND_DECAY = 10.0
@@ -167,10 +167,8 @@ def sample_case(case, n: int, p: int, seed: int, omega0=None) -> np.ndarray:
       normals, then n uniforms for the contamination mask.
     """
     case = get_case(case)
-    n = int(n)
+    n = _check_count(n, "n", 1)
     p = int(p)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     omega0 = build_omega0(p) if omega0 is None else np.asarray(omega0, dtype=np.float64)
     if omega0.shape != (p, p):
         raise ValueError(f"omega0 shape {omega0.shape} does not match p={p}")

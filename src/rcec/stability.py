@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compdata import _as_matrix, _check_seed, clr_transform
+from .compdata import _as_matrix, _check_count, _check_seed, clr_transform
 from .parallel import ordered_map
 from .threshold import threshold_matrix
 from .tuning import EstimatorConfig, estimate_from_latent, _subset_covariance
@@ -171,22 +171,20 @@ def bootstrap_stability(
     StabilityResult
     """
     seed = _check_seed(seed)
+    replicates = _check_count(replicates, "replicates", 1)
+    retain_threshold = _check_count(retain_threshold, "retain_threshold", 0)
     if config is None:
         config = EstimatorConfig()
     # clr works row by row, so the clr rows of a resample are the resampled
     # clr rows: transform once, resample W.
     W = clr_transform(X).values
-    if replicates < 1:
-        raise ValueError(f"replicates must be >= 1, got {replicates}")
-    if retain_threshold < 0:
-        raise ValueError(f"retain_threshold must be >= 0, got {retain_threshold}")
 
     baseline_fit = estimate_from_latent(W, config)
     baseline = extract_edges(baseline_fit.omega)
     rows = np.array([e.i for e in baseline.edges], dtype=np.intp)
     cols = np.array([e.j for e in baseline.edges], dtype=np.intp)
     n = W.shape[0]
-    children = np.random.SeedSequence(seed).spawn(int(replicates))
+    children = np.random.SeedSequence(seed).spawn(replicates)
 
     def one_replicate(child):
         # The replicate's estimate at the baseline edges, one value per edge.
@@ -217,8 +215,8 @@ def bootstrap_stability(
         positives=sum(1 for e in stable.edges if e.sign > 0),
         negatives=sum(1 for e in stable.edges if e.sign < 0),
         sign_agreement=sign_agreement,
-        replicates=int(replicates),
-        retain_threshold=int(retain_threshold),
+        replicates=replicates,
+        retain_threshold=retain_threshold,
         seed=seed,
         lambda_star=baseline_fit.lambda_star,
         reuse_lambda=bool(reuse_lambda),

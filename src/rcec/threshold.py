@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compdata import _as_matrix
+from .compdata import _as_matrix, _check_count
 
 # Floor applied to covariance diagonals when computing entry thresholds.
 # A robust estimate can produce tiny or negative variances on degenerate
@@ -117,7 +117,7 @@ def apply_rule(rule: ThresholdRule, z, lam) -> np.ndarray:
     nonnegative.  Exact zeros stay zero under every rule.
     """
     lam = np.asarray(lam, dtype=np.float64)
-    if np.any(lam < 0):
+    if not np.all(lam >= 0):
         raise ValueError("thresholds must be nonnegative")
     z, lam = np.broadcast_arrays(np.asarray(z, dtype=np.float64), lam)
     return _Kernel(rule, z)(lam)
@@ -143,6 +143,7 @@ class _Kernel:
         self.sign = np.sign(z)
         self.diagonal = np.diag(z) if keep_diagonal else None
         self.out = np.empty(z.shape)
+        self._apply = getattr(self, f"_{rule.kind}")  # _soft, _alasso or _scad
         if rule.kind == "alasso":
             self.at_most_t = np.empty(z.shape, dtype=bool)
         if rule.kind == "scad":
@@ -153,13 +154,7 @@ class _Kernel:
             self.beyond_at = np.empty(z.shape, dtype=bool)
 
     def __call__(self, t) -> np.ndarray:
-        kind = self.rule.kind
-        if kind == "soft":
-            self._soft(t)
-        elif kind == "alasso":
-            self._alasso(t)
-        else:
-            self._scad(t)
+        self._apply(t)
         if self.diagonal is not None:
             np.fill_diagonal(self.out, self.diagonal)
         return self.out
@@ -222,8 +217,7 @@ def _entry_scale(arr: np.ndarray, n: int) -> np.ndarray:
     # d its diagonal floored at DIAG_FLOOR; thresholding at lam uses
     # lam * scale, so a whole grid shares one scale.  The floor warns once,
     # pointing at the caller of the public function that called here.
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_count(n, "n", 1)
     diag = np.diag(arr)
     clamped = int((diag < DIAG_FLOOR).sum())
     if clamped:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .compdata import CompositionMatrix, _as_matrix, _check_seed, clr_transform
+from .compdata import CompositionMatrix, _as_matrix, _check_count, _check_seed, clr_transform
 from .metrics import min_eigenvalue
 from .mom import default_block_count, mom_covariance, sample_covariance
 from .threshold import (
@@ -87,15 +87,13 @@ class EstimatorConfig:
             )
         if not isinstance(self.rule, ThresholdRule):
             raise ValueError(f"rule must be a ThresholdRule, got {self.rule!r}")
-        if int(self.folds) < 2:
-            raise ValueError(f"folds must be >= 2, got {self.folds}")
-        if int(self.grid_size) < 2:
-            raise ValueError(f"grid_size must be >= 2, got {self.grid_size}")
+        _check_count(self.folds, "folds", 2)
+        _check_count(self.grid_size, "grid_size", 2)
         if not (self.L > 0):
             raise ValueError(f"L must be > 0, got {self.L!r}")
         _check_seed(self.seed)
-        if self.block_count is not None and int(self.block_count) < 1:
-            raise ValueError(f"block_count must be >= 1, got {self.block_count}")
+        if self.block_count is not None:
+            _check_count(self.block_count, "block_count", 1)
 
     def to_dict(self) -> dict:
         """Field values in declaration order, the rule as its spec string."""
@@ -206,14 +204,13 @@ def lambda_grid(gamma, n: int, grid_size: int = 50) -> np.ndarray:
     ``[0, 1e-12]``.
     """
     arr = _as_matrix(gamma, "covariance", square=True)
-    if int(grid_size) < 2:
-        raise ValueError(f"grid_size must be >= 2, got {grid_size}")
+    grid_size = _check_count(grid_size, "grid_size", 2)
     scale = _entry_scale(arr, n)
     off = ~np.eye(arr.shape[0], dtype=bool)
     lam_max = float((np.abs(arr)[off] / scale[off]).max())
     if lam_max <= 0.0:
         lam_max = DEGENERATE_GRID_MAX
-    return np.linspace(0.0, lam_max, int(grid_size))
+    return np.linspace(0.0, lam_max, grid_size)
 
 
 def _as_grid(grid) -> np.ndarray:
@@ -242,8 +239,7 @@ def make_folds(n: int, folds: int, seed: int) -> list:
     Each fold is returned in increasing index order, so subsets preserve the
     stored sample order.
     """
-    if folds < 2:
-        raise ValueError(f"folds must be >= 2, got {folds}")
+    folds = _check_count(folds, "folds", 2)
     if n < 2 * folds:
         raise ValueError(f"need n >= 2 * folds = {2 * folds}, got n = {n}")
     order = np.random.default_rng(seed).permutation(n)
@@ -272,19 +268,16 @@ def cv_select(W, config: EstimatorConfig, *, grid=None):
     """
     values = _as_matrix(W, "data matrix")
     n = values.shape[0]
-    fold_indices = make_folds(n, int(config.folds), int(config.seed))
+    fold_indices = make_folds(n, config.folds, config.seed)
     if grid is None:
         grid = lambda_grid(_subset_covariance(values, config), n, config.grid_size)
     grid = _as_grid(grid)
 
     errors = np.zeros((len(fold_indices), grid.size))
     for v, test_idx in enumerate(fold_indices):
-        train_mask = np.ones(n, dtype=bool)
-        train_mask[test_idx] = False
-        train = values[train_mask]
-        test = values[test_idx]
-        gamma_train = _as_matrix(_subset_covariance(train, config), "covariance", square=True)
-        gamma_test = _subset_covariance(test, config)
+        train = np.delete(values, test_idx, axis=0)
+        gamma_train = _subset_covariance(train, config)
+        gamma_test = _subset_covariance(values[test_idx], config)
         scale = _entry_scale(gamma_train, train.shape[0])
         for g, omega in enumerate(_threshold_grid(gamma_train, scale, grid, config)):
             # Squared Frobenius distance, computed in the kernel's buffer.

@@ -15,12 +15,19 @@ from rcec import (
     CompositionMatrix,
     CountMatrix,
     EstimatorConfig,
+    ThresholdRule,
     basis_to_composition,
     bootstrap_stability,
     close_counts,
     clr_transform,
+    default_block_count,
+    lambda_grid,
+    make_folds,
+    mom_covariance,
     sample_case,
+    threshold_matrix,
 )
+from rcec.metrics import centering_matrix
 
 positive_rows = hnp.arrays(
     np.float64,
@@ -136,6 +143,54 @@ SEED_ENTRY_POINTS = {
 def test_every_entry_point_rejects_a_bad_seed(entry, seed, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         SEED_ENTRY_POINTS[entry](seed)
+
+
+def _stability(**counts):
+    x = basis_to_composition(sample_case(1, 30, 6, 0))
+    return bootstrap_stability(x, EstimatorConfig(grid_size=6), **counts)
+
+
+# Every public count parameter goes through the one count check in compdata:
+# entry -> (call taking the count, a valid value).  The parameter's name is
+# the part after the dot.
+COUNT_ENTRY_POINTS = {
+    "EstimatorConfig.folds": (lambda k: EstimatorConfig(folds=k), 5),
+    "EstimatorConfig.grid_size": (lambda k: EstimatorConfig(grid_size=k), 10),
+    "EstimatorConfig.block_count": (lambda k: EstimatorConfig(block_count=k), 3),
+    "lambda_grid.grid_size": (lambda k: lambda_grid(np.eye(3), 10, grid_size=k), 10),
+    "lambda_grid.n": (lambda k: lambda_grid(np.eye(3), k), 10),
+    "threshold_matrix.n": (
+        lambda k: threshold_matrix(np.eye(3), 0.5, k, ThresholdRule.soft()), 10
+    ),
+    "make_folds.folds": (lambda k: make_folds(40, k, 0), 5),
+    "default_block_count.p": (lambda k: default_block_count(k), 10),
+    "default_block_count.n_cap": (lambda k: default_block_count(10, n_cap=k), 3),
+    "mom_covariance.block_count": (lambda k: mom_covariance(np.eye(6), k), 3),
+    "BenchmarkSpec.n": (lambda k: BenchmarkSpec(n=k), 10),
+    "BenchmarkSpec.replications": (lambda k: BenchmarkSpec(replications=k), 2),
+    "sample_case.n": (lambda k: sample_case(1, k, 4, 0), 10),
+    "bootstrap_stability.replicates": (lambda k: _stability(replicates=k), 1),
+    "bootstrap_stability.retain_threshold": (
+        lambda k: _stability(replicates=1, retain_threshold=k), 1
+    ),
+    "centering_matrix.p": (lambda k: centering_matrix(k), 4),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(COUNT_ENTRY_POINTS))
+@pytest.mark.parametrize("value", [10.9, True], ids=["float", "bool"])
+def test_every_count_rejects_a_non_integer(entry, value):
+    call, _ = COUNT_ENTRY_POINTS[entry]
+    name = entry.split(".")[1]
+    message = f"{name} must be an integer, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("entry", sorted(COUNT_ENTRY_POINTS))
+def test_every_count_accepts_a_numpy_integer(entry):
+    call, valid = COUNT_ENTRY_POINTS[entry]
+    call(np.int64(valid))
 
 
 class TestClrTransform:

@@ -214,6 +214,38 @@ class TestMomCovariance:
         np.testing.assert_array_equal(mom_covariance(w, 2), mom_covariance(w.values, 2))
 
 
+class TestExactSymmetry:
+    """Both kernels return bitwise-symmetric matrices with no symmetrizing
+    pass; the comparison is on the bits, so signed zeros count."""
+
+    @given(
+        n=st.integers(2, 100),
+        p=st.integers(2, 200),
+        m=st.integers(1, 21),
+        ties=st.booleans(),
+        constant=st.integers(0, 3),
+        subset=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=5, p=3, m=5, ties=True, constant=1, subset=False, seed=0)
+    @example(n=21, p=200, m=21, ties=False, constant=2, subset=True, seed=1)
+    def test_bitwise_symmetric(self, n, p, m, ties, constant, subset, seed):
+        rng = np.random.default_rng(seed)
+        rows = n + n // 4 if subset else n
+        if ties:
+            w = rng.choice([-1.0, -0.0, 0.0, 1.0, 2.0], size=(rows, p))
+        else:
+            w = rng.standard_t(df=3, size=(rows, p))
+        w[:, :constant] = rng.choice([-0.0, 0.0, 2.5])
+        if subset:
+            # A fold's training rows: a boolean-mask subset of a larger table.
+            keep = np.ones(rows, dtype=bool)
+            keep[rng.choice(rows, rows - n, replace=False)] = False
+            w = w[keep]
+        for g in (sample_covariance(w), mom_covariance(w, min(m, n))):
+            assert np.array_equal(g.view(np.int64), g.T.view(np.int64))
+
+
 class TestDefaultBlockCount:
     def test_reference_values(self):
         assert default_block_count(100) == 14
