@@ -61,7 +61,9 @@ class BenchmarkSpec:
             raise ValueError("at least one estimator is required")
         for e in self.estimators:
             if e not in BENCH_ESTIMATORS:
-                raise ValueError(f"unknown estimator {e!r}; expected one of {BENCH_ESTIMATORS}")
+                raise ValueError(
+                    f"unknown estimator {e!r}; expected one of {BENCH_ESTIMATORS}"
+                )
         _check_seed(self.seed)
 
 

@@ -22,7 +22,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -36,12 +36,12 @@ from .bench import (
     run_benchmark,
     summarize,
 )
-from .compdata import DEFAULT_ZERO_REPLACEMENT, CompositionMatrix, close_counts
+from .compdata import DEFAULT_ZERO_REPLACEMENT, CompositionMatrix, _check_count, close_counts
 from .parallel import worker_count
 from .simgen import CASES, _check_dimension, get_case, basis_to_composition, sample_case
 from .stability import DEFAULT_REPLICATES, DEFAULT_RETAIN, bootstrap_stability
 from .threshold import ThresholdRule
-from .tuning import ESTIMATOR_KINDS, EstimatorConfig, _parse_kv, estimate
+from .tuning import _FIELD_TYPES, ESTIMATOR_KINDS, EstimatorConfig, _parse_kv, estimate
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -187,9 +187,6 @@ def _edge_payload(edge, taxa, omega, occurrences=None):
 # ---------------------------------------------------------------------------
 # configuration plumbing
 
-_CONFIG_FIELDS = frozenset(f.name for f in fields(EstimatorConfig))
-
-
 def build_config(args, own_flags=None) -> EstimatorConfig:
     """The ``--config`` file (or the defaults), overridden by the flags given.
 
@@ -197,7 +194,7 @@ def build_config(args, own_flags=None) -> EstimatorConfig:
     its own to those flags; the file may not set them.
     """
     given = vars(args)
-    updates = {key: value for key, value in given.items() if key in _CONFIG_FIELDS}
+    updates = {key: value for key, value in given.items() if key in _FIELD_TYPES}
     try:
         values = _parse_kv(Path(given["config"]).read_text()) if given.get("config") else {}
         for key, flag in (own_flags or {}).items():
@@ -212,6 +209,14 @@ def build_config(args, own_flags=None) -> EstimatorConfig:
         return replace(config, **updates)
     except (OSError, ValueError) as exc:
         raise UsageError(f"bad configuration: {exc}") from None
+
+
+def _usage_check(check, *args) -> None:
+    """Run a library check on a command-line value; a failure is a usage error."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _load_composition(args) -> tuple:
@@ -270,16 +275,9 @@ def cmd_estimate(args) -> int:
     return EXIT_OK
 
 
-def _check_p(p: int) -> None:
-    # The synthetic truths come from build_omega0; reject a size it cannot build.
-    try:
-        _check_dimension(p)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
 def cmd_simulate(args) -> int:
-    _check_p(args.p)
+    # The synthetic truths come from build_omega0; reject a size it cannot build.
+    _usage_check(_check_dimension, args.p)
     if args.n < 2:
         raise UsageError(f"composition matrix needs at least 2 samples, got n={args.n}")
     case = get_case(args.case)
@@ -321,20 +319,12 @@ def _parse_int_list(text: str, what: str) -> tuple:
     return values
 
 
-def _check_threads() -> None:
-    # A bad thread cap is a usage error, reported before any work runs.
-    try:
-        worker_count(1)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
 def cmd_benchmark(args) -> int:
-    _check_threads()
+    _usage_check(worker_count, 1)  # a bad RCEC_THREADS fails before any work runs
     cases = _parse_int_list(args.cases, "case")
     p_values = _parse_int_list(args.p, "dimension")
     for p in p_values:
-        _check_p(p)
+        _usage_check(_check_dimension, p)
     estimators = tuple(part.strip() for part in args.estimators.split(",") if part.strip())
     config = build_config(args, own_flags={"estimator": "--estimators"})
     try:
@@ -364,13 +354,11 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    _check_threads()
+    _usage_check(worker_count, 1)
     taxa, x = _load_composition(args)
     config = build_config(args)
-    if args.bootstrap < 1:
-        raise UsageError(f"--bootstrap must be >= 1, got {args.bootstrap}")
-    if args.retain < 0:
-        raise UsageError(f"--retain must be >= 0, got {args.retain}")
+    _usage_check(_check_count, args.bootstrap, "--bootstrap", 1)
+    _usage_check(_check_count, args.retain, "--retain", 0)
     result = bootstrap_stability(
         x,
         config,

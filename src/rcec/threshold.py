@@ -143,7 +143,6 @@ class _Kernel:
         self.sign = np.sign(z)
         self.diagonal = np.diag(z) if keep_diagonal else None
         self.out = np.empty(z.shape)
-        self._apply = getattr(self, f"_{rule.kind}")  # _soft, _alasso or _scad
         if rule.kind == "alasso":
             self.at_most_t = np.empty(z.shape, dtype=bool)
         if rule.kind == "scad":
@@ -154,7 +153,13 @@ class _Kernel:
             self.beyond_at = np.empty(z.shape, dtype=bool)
 
     def __call__(self, t) -> np.ndarray:
-        self._apply(t)
+        kind = self.rule.kind
+        if kind == "soft":
+            self._soft(t)
+        elif kind == "alasso":
+            self._alasso(t)
+        else:
+            self._scad(t)
         if self.diagonal is not None:
             np.fill_diagonal(self.out, self.diagonal)
         return self.out
