@@ -51,7 +51,9 @@ EST = "estimate inputs/case2.csv --grid-size 12 --out {out}"
 # Row name -> commands; ``{out}`` is the row's own output directory.
 ROWS = {
     **{
-        f"simulate-case{c}": [f"simulate --case {c} --n 30 --p 8 --seed 1 --out {{out}}/samples.csv"]
+        f"simulate-case{c}": [
+            f"simulate --case {c} --n 30 --p 8 --seed 1 --out {{out}}/samples.csv"
+        ]
         for c in (1, 2, 3, 4)
     },
     "estimate-soft": [EST],
@@ -84,7 +86,10 @@ ROWS = {
     "data-counts-as-proportions": ["estimate inputs/counts.csv --out {out}"],
     "data-too-few-samples-per-fold": [EST + " --folds 40"],
     "help": ["-h"],
-    **{f"help-{command}": [f"{command} -h"] for command in ("estimate", "simulate", "benchmark", "stability")},
+    **{
+        f"help-{command}": [f"{command} -h"]
+        for command in ("estimate", "simulate", "benchmark", "stability")
+    },
     "estimate-p200-subprocess": [
         "simulate --case 2 --n 100 --p 200 --seed 1 --out {out}/samples.csv",
         "estimate {out}/samples.csv --out {out}/fit",
@@ -106,6 +111,7 @@ def _openblas_strings() -> list:
         if getter is None:
             values.append(None)
             continue
+        getter.argtypes = []
         getter.restype = ctypes.c_char_p
         values.append(getter().decode())
     return values

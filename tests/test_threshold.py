@@ -90,7 +90,9 @@ class TestApplyRuleValues:
         with pytest.raises(ValueError, match="nonnegative"):
             apply_rule(ThresholdRule.soft(), 1.0, -0.1)
 
-    @pytest.mark.parametrize("rule", [ThresholdRule.soft(), ThresholdRule.scad()], ids=["soft", "scad"])
+    @pytest.mark.parametrize(
+        "rule", [ThresholdRule.soft(), ThresholdRule.scad()], ids=["soft", "scad"]
+    )
     def test_nan_threshold_rejected(self, rule):
         # The rule threshold_matrix applies to lam: a NaN is not >= 0.
         with pytest.raises(ValueError, match="^thresholds must be nonnegative$"):
