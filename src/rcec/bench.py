@@ -100,7 +100,7 @@ def run_benchmark(spec: BenchmarkSpec, config: EstimatorConfig | None = None) ->
     def run_cell(task):
         case, p, rep = task
         data_seed, fold_seed = _cell_seeds(spec.seed, case, p, rep)
-        y = sample_case(case, spec.n, p, data_seed, omega0=omega_truth[p])
+        y = sample_case(case, spec.n, p, data_seed)
         x = basis_to_composition(y)
         records = []
         for arm in spec.estimators:

@@ -83,10 +83,9 @@ def get_case(case) -> SimulationCase:
 
 def _check_dimension(p: int) -> int:
     """``p`` as an int, if :func:`build_omega0` can build a truth of that size."""
-    p = int(p)
-    if p < 4 or p % 2 != 0:
+    if not isinstance(p, (int, np.integer)) or isinstance(p, bool) or p < 4 or p % 2 != 0:
         raise ValueError(f"p must be an even integer >= 4, got {p}")
-    return p
+    return int(p)
 
 
 def build_omega0(p: int) -> np.ndarray:
@@ -135,7 +134,7 @@ def _skew_t_rows(
     return (z * sd[None, :]) / np.sqrt(w)[:, None]
 
 
-def sample_case(case, n: int, p: int, seed: int, omega0=None) -> np.ndarray:
+def sample_case(case, n: int, p: int, seed: int) -> np.ndarray:
     """Draw n latent log-basis rows under the given case.
 
     Parameters
@@ -143,12 +142,10 @@ def sample_case(case, n: int, p: int, seed: int, omega0=None) -> np.ndarray:
     case : int or SimulationCase
         Case number 1-4 or an explicit case description.
     n, p : int
-        Sample count and dimension; ``p`` must match :func:`build_omega0`
-        unless ``omega0`` is supplied.
+        Sample count and dimension; the scale matrix is
+        :func:`build_omega0` of ``p``.
     seed : int
         Seed for a fresh ``numpy.random.default_rng`` (PCG64) generator.
-    omega0 : array_like, optional
-        Override scale matrix (must be positive definite).
 
     Returns
     -------
@@ -168,10 +165,7 @@ def sample_case(case, n: int, p: int, seed: int, omega0=None) -> np.ndarray:
     """
     case = get_case(case)
     n = _check_count(n, "n", 1)
-    p = int(p)
-    omega0 = build_omega0(p) if omega0 is None else np.asarray(omega0, dtype=np.float64)
-    if omega0.shape != (p, p):
-        raise ValueError(f"omega0 shape {omega0.shape} does not match p={p}")
+    omega0 = build_omega0(p)
     rng = np.random.default_rng(_check_seed(seed))
 
     if case.kind == "gaussian":

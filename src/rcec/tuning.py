@@ -87,13 +87,14 @@ class EstimatorConfig:
             )
         if not isinstance(self.rule, ThresholdRule):
             raise ValueError(f"rule must be a ThresholdRule, got {self.rule!r}")
-        _check_count(self.folds, "folds", 2)
-        _check_count(self.grid_size, "grid_size", 2)
+        # Store the Python ints the checks return, so to_dict() stays JSON-ready.
+        object.__setattr__(self, "folds", _check_count(self.folds, "folds", 2))
+        object.__setattr__(self, "grid_size", _check_count(self.grid_size, "grid_size", 2))
         if not (self.L > 0):
             raise ValueError(f"L must be > 0, got {self.L!r}")
-        _check_seed(self.seed)
+        object.__setattr__(self, "seed", _check_seed(self.seed))
         if self.block_count is not None:
-            _check_count(self.block_count, "block_count", 1)
+            object.__setattr__(self, "block_count", _check_count(self.block_count, "block_count", 1))
 
     def to_dict(self) -> dict:
         """Field values in declaration order, the rule as its spec string."""
@@ -285,6 +286,8 @@ def cv_select(W, config: EstimatorConfig, *, grid=None):
             np.multiply(omega, omega, out=omega)
             errors[v, g] = float(omega.sum())
     mean_errors = errors.mean(axis=0)
+    if not np.all(np.isfinite(mean_errors)):
+        raise ValueError("cross-validation error is not finite; the fold covariances overflow")
     best = int(np.flatnonzero(mean_errors == mean_errors.min())[-1])
     curve = np.column_stack([grid, mean_errors])
     return float(grid[best]), curve

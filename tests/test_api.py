@@ -102,7 +102,7 @@ SIGNATURES = {
     "min_eigenvalue": ("a",),
     "mom_covariance": ("W", "block_count"),
     "run_benchmark": ("spec", "config"),
-    "sample_case": ("case", "n", "p", "seed", "omega0"),
+    "sample_case": ("case", "n", "p", "seed"),
     "sample_covariance": ("W",),
     "spectral_loss": ("a", "b"),
     "summarize": ("records", "spec"),

@@ -584,6 +584,47 @@ class TestExitCodes:
         assert after == before
 
 
+class TestCommandsReturnTheirFiles:
+    # Each command's argv and the names of its files, in the order written.
+    COMMANDS = {
+        "simulate": (
+            ["simulate", "--case", "2", "--n", "12", "--p", "4", "--out", "{out}/s.csv"],
+            ["s.csv", "s.csv.meta.json"],
+        ),
+        "estimate": (
+            ["estimate", "{samples}", "--grid-size", "6", "--out", "{out}"],
+            ["omega.csv", "edges.json", "report.json"],
+        ),
+        "stability": (
+            ["stability", "{samples}", "-B", "2", "--retain", "1", "--grid-size", "6",
+             "--out", "{out}/st.json"],
+            ["st.json"],
+        ),
+        "benchmark": (
+            [
+                "benchmark", "--cases", "1", "--p", "4", "--n", "10", "--replications", "1",
+                "--estimators", "coat", "--grid-size", "6", "--out", "{out}",
+            ],
+            ["results.csv", "results.md", "losses.csv"],
+        ),
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_command_returns_files_that_main_writes(self, samples_csv, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        template, names = self.COMMANDS[command]
+        argv = [arg.format(samples=samples_csv, out=out) for arg in template]
+        files = getattr(cli, f"cmd_{command}")(cli.build_parser().parse_args(argv))
+        assert not out.exists()
+        assert list(files) == [out / name for name in names]
+        assert all(isinstance(text, str) for text in files.values())
+        capsys.readouterr()
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == f"wrote {', '.join(map(str, files))}\n"
+        assert sorted(p.name for p in out.iterdir()) == sorted(names)
+        assert {path: path.read_text() for path in files} == files
+
+
 def test_module_entry_point_runs_in_a_subprocess(tmp_path):
     out = tmp_path / "samples.csv"
     # The child imports the rcec the tests imported, installed or from a checkout.

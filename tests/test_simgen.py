@@ -43,6 +43,11 @@ class TestBuildOmega0:
             with pytest.raises(ValueError, match="even integer"):
                 build_omega0(bad)
 
+    @pytest.mark.parametrize("bad", [10.9, 12.0, True, "12"])
+    def test_rejects_non_integer_p(self, bad):
+        with pytest.raises(ValueError, match=f"p must be an even integer >= 4, got {bad}$"):
+            build_omega0(bad)
+
 
 class TestCaseTable:
     def test_case_parameters(self):
@@ -89,9 +94,15 @@ class TestSampleCase:
         with pytest.raises(ValueError, match="nonnegative"):
             sample_case(1, 5, 4, seed=-1)
 
-    def test_rejects_indefinite_scale(self):
-        with pytest.raises(ValueError, match="not positive definite"):
-            sample_case(1, 5, 4, seed=0, omega0=np.diag([1.0, 1.0, 1.0, -1.0]))
+    @pytest.mark.parametrize("p", [10.9, 12.0, True, np.float64(8.0)])
+    def test_rejects_non_integer_dimension(self, p):
+        with pytest.raises(ValueError, match="p must be an even integer >= 4"):
+            sample_case(1, 5, p, seed=0)
+
+    def test_accepts_numpy_integer_dimension(self):
+        np.testing.assert_array_equal(
+            sample_case(2, 5, np.int64(8), seed=0), sample_case(2, 5, 8, seed=0)
+        )
 
     def test_gaussian_moments(self):
         omega0 = build_omega0(10)

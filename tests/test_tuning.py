@@ -1,5 +1,6 @@
 """Grid construction, cross-validation, PD floor, and the full pipeline."""
 
+import json
 import warnings
 
 import numpy as np
@@ -62,6 +63,14 @@ class TestEstimatorConfig:
             EstimatorConfig(block_count=0)
         with pytest.raises(ValueError, match="rule"):
             EstimatorConfig(rule="soft")
+
+    def test_numpy_integers_are_stored_as_python_ints(self):
+        cfg = EstimatorConfig(
+            folds=np.int64(5), grid_size=np.int32(12), seed=np.int64(3), block_count=np.int64(2)
+        )
+        for name in ("folds", "grid_size", "seed", "block_count"):
+            assert type(getattr(cfg, name)) is int, name
+        assert json.loads(json.dumps(cfg.to_dict()))["folds"] == 5
 
     @pytest.mark.parametrize(
         "cfg",
@@ -255,6 +264,15 @@ class TestCvSelect:
         w = np.random.default_rng(0).normal(size=(8, 3))
         with pytest.raises(ValueError, match="n >= 2"):
             cv_select(w, EstimatorConfig(folds=5))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("estimator", ["rcec", "coat"])
+    def test_overflowing_fold_covariance_is_a_value_error(self, estimator):
+        w = np.random.default_rng(0).normal(size=(20, 4)) * 1e160
+        cfg = EstimatorConfig(estimator=estimator, grid_size=4, folds=2)
+        with pytest.raises(ValueError, match="cross-validation error is not finite"):
+            cv_select(w, cfg, grid=[0.0, 0.5])
 
 
 class TestPdFloor:
