@@ -39,6 +39,19 @@ import numpy as np
 from .compdata import _as_matrix, _check_count
 
 
+def _check_L(L) -> float:
+    """The package's one check of ``L``: a finite real number > 0, not a bool or a string."""
+    if not isinstance(L, (int, float, np.integer, np.floating)) or isinstance(L, bool):
+        raise ValueError(f"L must be a real number, got {L!r}")
+    try:
+        value = float(L)
+    except OverflowError:  # an int too large for a float
+        value = math.inf
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"L must be finite and > 0, got {L!r}")
+    return value
+
+
 def default_block_count(p: int, L: float = 1.0, n_cap: int | None = None) -> int:
     """Default MOM block count ``ceil((2 + L) * ln p)``, clamped to ``n_cap``.
 
@@ -47,9 +60,7 @@ def default_block_count(p: int, L: float = 1.0, n_cap: int | None = None) -> int
     so the partition never degenerates below one sample per block.
     """
     p = _check_count(p, "p", 2)
-    if not (L > 0):
-        raise ValueError(f"L must be > 0, got {L!r}")
-    m = math.ceil((2.0 + L) * math.log(p))
+    m = math.ceil((2.0 + _check_L(L)) * math.log(p))
     if n_cap is not None:
         m = min(m, _check_count(n_cap, "n_cap", 1))
     return m

@@ -21,7 +21,7 @@ import numpy as np
 
 from .compdata import CompositionMatrix, _as_matrix, _check_count, _check_seed, clr_transform
 from .metrics import min_eigenvalue
-from .mom import default_block_count, mom_covariance, sample_covariance
+from .mom import _check_L, default_block_count, mom_covariance, sample_covariance
 from .threshold import (
     ThresholdRule,
     _clamp_notes,
@@ -87,11 +87,10 @@ class EstimatorConfig:
             )
         if not isinstance(self.rule, ThresholdRule):
             raise ValueError(f"rule must be a ThresholdRule, got {self.rule!r}")
-        # Store the Python ints the checks return, so to_dict() stays JSON-ready.
+        # Store the Python numbers the checks return, so to_dict() stays JSON-ready.
         object.__setattr__(self, "folds", _check_count(self.folds, "folds", 2))
         object.__setattr__(self, "grid_size", _check_count(self.grid_size, "grid_size", 2))
-        if not (self.L > 0):
-            raise ValueError(f"L must be > 0, got {self.L!r}")
+        object.__setattr__(self, "L", _check_L(self.L))
         object.__setattr__(self, "seed", _check_seed(self.seed))
         if self.block_count is not None:
             object.__setattr__(self, "block_count", _check_count(self.block_count, "block_count", 1))

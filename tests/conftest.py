@@ -1,8 +1,10 @@
 """Shared test configuration."""
 
+import multiprocessing
 import os
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, settings
 
 import rcec
@@ -14,6 +16,18 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("default")
+
+
+@pytest.fixture(autouse=True)
+def no_process_left_running():
+    """Fail a test that leaves a multiprocessing child running, then end it."""
+    yield
+    left = multiprocessing.active_children()
+    for child in left:
+        child.terminate()
+        child.join(10)
+    assert not left, f"processes left running after the test: {left}"
+
 
 # The package under test, as this process imported it.  CLI subprocesses
 # run in their own working directories, where a relative PYTHONPATH entry

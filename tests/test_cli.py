@@ -272,6 +272,15 @@ class TestEstimateCommand:
         report = json.loads((outdir / "report.json").read_text())
         assert report["config"]["enforce_pd"] is False
 
+    @pytest.mark.parametrize("command", ["estimate", "stability"])
+    @pytest.mark.parametrize("value", ["inf", "nan", "0"])
+    def test_bad_L_is_a_usage_error(self, samples_csv, tmp_path, capsys, command, value):
+        out = tmp_path / "out"
+        rc = main([command, str(samples_csv), "--out", str(out), "--L", value])
+        assert rc == EXIT_USAGE
+        assert "bad configuration: L must be finite and > 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_config_file_is_a_usage_error(self, samples_csv, tmp_path, capsys):
         cfg = tmp_path / "rcec.conf"
         cfg.write_text("grid_size: 10\n")

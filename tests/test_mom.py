@@ -259,3 +259,8 @@ class TestDefaultBlockCount:
             default_block_count(1)
         with pytest.raises(ValueError, match="L must be"):
             default_block_count(10, L=0.0)
+
+    @pytest.mark.parametrize("L", [True, "2", float("inf"), float("nan")])
+    def test_rejects_L_that_is_not_a_finite_positive_real(self, L):
+        with pytest.raises(ValueError, match="L must be"):
+            default_block_count(10, L=L)

@@ -64,6 +64,21 @@ class TestEstimatorConfig:
         with pytest.raises(ValueError, match="rule"):
             EstimatorConfig(rule="soft")
 
+    @pytest.mark.parametrize(
+        "L",
+        [True, "2", None, float("inf"), -float("inf"), float("nan"), 0, -1.5,
+         pytest.param(10**400, id="int-too-large-for-a-float")],
+    )
+    def test_rejects_L_that_is_not_a_finite_positive_real(self, L):
+        with pytest.raises(ValueError, match="L must be"):
+            EstimatorConfig(L=L)
+
+    @pytest.mark.parametrize("L", [2, np.int64(2), np.float32(2.0), 2.0])
+    def test_L_is_stored_as_a_python_float(self, L):
+        cfg = EstimatorConfig(L=L)
+        assert type(cfg.L) is float and cfg.L == 2.0
+        assert json.loads(json.dumps(cfg.to_dict()))["L"] == 2.0
+
     def test_numpy_integers_are_stored_as_python_ints(self):
         cfg = EstimatorConfig(
             folds=np.int64(5), grid_size=np.int32(12), seed=np.int64(3), block_count=np.int64(2)
@@ -93,7 +108,7 @@ class TestEstimatorConfig:
         assert EstimatorConfig(**_parse_kv(_kv_text(cfg))) == cfg
 
     @given(
-        L=st.floats(min_value=0.0, exclude_min=True),
+        L=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
         eta=st.floats(min_value=1.0),
         a=st.floats(min_value=2.0, exclude_min=True),
     )
