@@ -3,8 +3,8 @@
 For each (case, dimension, replication) cell the runner draws one latent
 dataset, closes it to compositions, fits every requested estimator on the
 same data, and scores the fits against the ground-truth basis covariance.
-Replications fan out across threads and reduce in a fixed order, so the
-result table does not depend on the worker count.
+Cells fan out across forked worker processes and reduce in a fixed order,
+so the result table does not depend on the worker count.
 
 Seeding: replication r of case c at dimension p derives its streams from
 ``SeedSequence((seed, c, p, r))``; the first child seeds the data draw, the
@@ -14,6 +14,7 @@ their losses and keeps fold assignments identical across estimators.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,7 +27,7 @@ from .metrics import (
     support_metrics,
 )
 from .parallel import ordered_map
-from .simgen import basis_to_composition, build_omega0, get_case, sample_case
+from .simgen import _check_dimension, basis_to_composition, build_omega0, get_case, sample_case
 from .tuning import ESTIMATOR_KINDS, EstimatorConfig, estimate, estimate_from_latent
 
 # Fixed metric order for tables.
@@ -49,22 +50,34 @@ class BenchmarkSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.cases:
-            raise ValueError("at least one case is required")
-        for c in self.cases:
-            get_case(c)
-        if not self.p_values:
-            raise ValueError("at least one dimension is required")
-        _check_count(self.n, "n", 4)
-        _check_count(self.replications, "replications", 1)
-        if not self.estimators:
-            raise ValueError("at least one estimator is required")
-        for e in self.estimators:
-            if e not in BENCH_ESTIMATORS:
-                raise ValueError(
-                    f"unknown estimator {e!r}; expected one of {BENCH_ESTIMATORS}"
-                )
-        _check_seed(self.seed)
+        # Store what the checks return: distinct Python ints and names, used as they are.
+        object.__setattr__(self, "cases", _distinct(self.cases, "case", _check_case))
+        object.__setattr__(self, "p_values", _distinct(self.p_values, "dimension", _check_dimension))
+        object.__setattr__(self, "n", _check_count(self.n, "n", 4))
+        object.__setattr__(self, "replications", _check_count(self.replications, "replications", 1))
+        object.__setattr__(self, "estimators", _distinct(self.estimators, "estimator", _check_arm))
+        object.__setattr__(self, "seed", _check_seed(self.seed))
+
+
+def _distinct(values, what: str, check) -> tuple:
+    """Each of ``values`` as ``check`` returns it; at least one, none repeated."""
+    checked = tuple(map(check, values))
+    if not checked:
+        raise ValueError(f"at least one {what} is required")
+    if len(set(checked)) < len(checked):
+        raise ValueError(f"each {what} may be listed once, got {checked}")
+    return checked
+
+
+def _check_case(case) -> int:
+    get_case(case)  # a key of CASES, else the error names them
+    return _check_count(case, "case", 1)  # a number, not a SimulationCase
+
+
+def _check_arm(arm) -> str:
+    if arm not in BENCH_ESTIMATORS:
+        raise ValueError(f"unknown estimator {arm!r}; expected one of {BENCH_ESTIMATORS}")
+    return arm
 
 
 @dataclass(frozen=True)
@@ -79,22 +92,15 @@ class ReplicationRecord:
 
 
 def _cell_seeds(seed: int, case: int, p: int, rep: int):
-    root = np.random.SeedSequence(entropy=(int(seed), int(case), int(p), int(rep)))
-    data_seq, fold_seq = root.spawn(2)
-    data_seed = int(data_seq.generate_state(1, np.uint64)[0])
-    fold_seed = int(fold_seq.generate_state(1, np.uint64)[0])
-    return data_seed, fold_seed
+    """The data seed and the fold seed of one cell."""
+    children = np.random.SeedSequence(entropy=(seed, case, p, rep)).spawn(2)
+    return tuple(int(child.generate_state(1, np.uint64)[0]) for child in children)
 
 
 def run_benchmark(spec: BenchmarkSpec, config: EstimatorConfig | None = None) -> list:
     """Run all replications and return records in deterministic order."""
     base_config = config if config is not None else EstimatorConfig()
-    tasks = [
-        (case, p, rep)
-        for case in spec.cases
-        for p in spec.p_values
-        for rep in range(spec.replications)
-    ]
+    tasks = itertools.product(spec.cases, spec.p_values, range(spec.replications))
     omega_truth = {p: build_omega0(p) for p in spec.p_values}
 
     def run_cell(task):
@@ -111,8 +117,8 @@ def run_benchmark(spec: BenchmarkSpec, config: EstimatorConfig | None = None) ->
             support = support_metrics(fit.omega, truth)
             records.append(
                 ReplicationRecord(
-                    case=int(case),
-                    p=int(p),
+                    case=case,
+                    p=p,
                     estimator=arm,
                     replication=rep,
                     values={
@@ -151,14 +157,14 @@ def summarize(records, spec: BenchmarkSpec) -> list:
                     sd = float(values.std(ddof=1)) if values.size > 1 else 0.0
                     rows.append(
                         {
-                            "case": int(case),
-                            "p": int(p),
+                            "case": case,
+                            "p": p,
                             "estimator": arm,
                             "metric": metric,
                             "mean": float(values.mean()),
                             "sd": sd,
-                            "replications": int(values.size),
-                            "seed": int(spec.seed),
+                            "replications": values.size,
+                            "seed": spec.seed,
                         }
                     )
     return rows

@@ -11,8 +11,8 @@ ordered ``{Path: text}`` dict and writes nothing; :func:`main` writes them
 all or, on failure, none of them, and prints the ``wrote`` line.  All
 outputs are plain CSV, markdown or JSON without timestamps; rerunning a
 command with identical arguments reproduces identical bytes.  The
-``RCEC_THREADS`` environment variable caps worker threads for the batch
-commands.
+``RCEC_THREADS`` environment variable caps the worker processes of the
+batch commands.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .bench import (
     run_benchmark,
     summarize,
 )
-from .compdata import DEFAULT_ZERO_REPLACEMENT, CompositionMatrix, _check_count, close_counts
+from .compdata import DEFAULT_ZERO_REPLACEMENT, CompositionMatrix, _check_count, _check_seed, close_counts
 from .parallel import worker_count
 from .simgen import CASES, _check_dimension, get_case, basis_to_composition, sample_case
 from .stability import DEFAULT_REPLICATES, DEFAULT_RETAIN, bootstrap_stability
@@ -260,6 +260,7 @@ def cmd_estimate(args) -> dict:
 def cmd_simulate(args) -> dict:
     # The synthetic truths come from build_omega0; reject a size it cannot build.
     _usage_check(_check_dimension, args.p)
+    _usage_check(_check_seed, args.seed)
     if args.n < 2:
         raise UsageError(f"composition matrix needs at least 2 samples, got n={args.n}")
     case = get_case(args.case)
@@ -272,15 +273,15 @@ def cmd_simulate(args) -> dict:
         Path(str(out) + ".meta.json"): write_json(
             {
                 "command": "simulate",
-                "case": int(args.case),
+                "case": args.case,
                 "kind": case.kind,
                 "df": case.df,
                 "alpha": case.alpha,
                 "contamination": case.contamination,
                 "shift": case.shift,
-                "n": int(args.n),
-                "p": int(args.p),
-                "seed": int(args.seed),
+                "n": args.n,
+                "p": args.p,
+                "seed": args.seed,
                 "data": out.name,
             }
         ),
@@ -289,20 +290,15 @@ def cmd_simulate(args) -> dict:
 
 def _parse_int_list(text: str, what: str) -> tuple:
     try:
-        values = tuple(int(part) for part in text.split(",") if part.strip() != "")
+        return tuple(int(part) for part in text.split(",") if part.strip() != "")
     except ValueError:
         raise UsageError(f"bad {what} list {text!r}; expected comma-separated integers") from None
-    if not values:
-        raise UsageError(f"{what} list is empty")
-    return values
 
 
 def cmd_benchmark(args) -> dict:
     _usage_check(worker_count, 1)  # a bad RCEC_THREADS fails before any work runs
     cases = _parse_int_list(args.cases, "case")
     p_values = _parse_int_list(args.p, "dimension")
-    for p in p_values:
-        _usage_check(_check_dimension, p)
     estimators = tuple(part.strip() for part in args.estimators.split(",") if part.strip())
     config = build_config(args, own_flags={"estimator": "--estimators"})
     spec = _usage_check(

@@ -70,15 +70,12 @@ CASES = {
 
 
 def get_case(case) -> SimulationCase:
-    """Resolve a case number (1-4) or pass a SimulationCase through."""
+    """Resolve a case number (an integer key of CASES) or pass a SimulationCase through."""
     if isinstance(case, SimulationCase):
         return case
-    try:
-        return CASES[int(case)]
-    except (KeyError, TypeError, ValueError):
-        raise ValueError(
-            f"unknown simulation case {case!r}; expected 1-4 or a SimulationCase"
-        ) from None
+    if isinstance(case, (int, np.integer)) and not isinstance(case, bool) and case in CASES:
+        return CASES[case]
+    raise ValueError(f"unknown simulation case {case!r}; expected 1-4 or a SimulationCase")
 
 
 def _check_dimension(p: int) -> int:

@@ -45,7 +45,7 @@ class ThresholdRule:
 
     kind
         ``"soft"``, ``"alasso"`` (adaptive lasso, exponent ``eta >= 1``) or
-        ``"scad"`` (clipped interpolation with knee ``a > 2``).
+        ``"scad"`` (clipped interpolation with a finite knee ``a > 2``).
     eta
         Adaptive-lasso exponent; ``eta = 1`` reproduces soft thresholding
         exactly.
@@ -62,8 +62,8 @@ class ThresholdRule:
             raise ValueError(f"unknown rule kind {self.kind!r}; expected one of {RULE_KINDS}")
         if not (self.eta >= 1.0):
             raise ValueError(f"adaptive-lasso exponent eta must be >= 1, got {self.eta!r}")
-        if not (self.a > 2.0):
-            raise ValueError(f"scad parameter a must be > 2, got {self.a!r}")
+        if not (2.0 < self.a < math.inf):
+            raise ValueError(f"scad parameter a must be > 2 and finite, got {self.a!r}")
 
     @classmethod
     def soft(cls) -> "ThresholdRule":

@@ -1,9 +1,12 @@
 """Tests for the replicated benchmark runner and its tables."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
-from rcec import BenchmarkSpec, EstimatorConfig, run_benchmark, summarize
+from rcec import CASES, BenchmarkSpec, EstimatorConfig, run_benchmark, summarize
 from rcec.bench import (
     METRICS,
     TABLE_COLUMNS,
@@ -52,6 +55,46 @@ class TestBenchmarkSpec:
             BenchmarkSpec(estimators=())
         with pytest.raises(ValueError, match="seed"):
             BenchmarkSpec(seed=-1)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"cases": (1, 1)}, "each case may be listed once, got (1, 1)"),
+            ({"p_values": (10, 10)}, "each dimension may be listed once, got (10, 10)"),
+            ({"estimators": ("coat", "coat")}, "each estimator may be listed once"),
+            ({"cases": (2.5,)}, "unknown simulation case 2.5"),
+            ({"cases": (True,)}, "unknown simulation case True"),
+            ({"cases": (CASES[1],)}, "case must be an integer, got SimulationCase"),
+            ({"p_values": (5,)}, "p must be an even integer >= 4, got 5"),
+            ({"p_values": (4.0,)}, "p must be an even integer >= 4, got 4.0"),
+        ],
+        ids=[
+            "repeated-case", "repeated-p", "repeated-arm", "fractional-case", "bool-case",
+            "case-object", "odd-p", "float-p",
+        ],
+    )
+    def test_rejects_each_entry_when_built(self, fields, message):
+        # Each of these used to pass the spec and fail (or double-count) in the cells.
+        with pytest.raises(ValueError) as excinfo:
+            BenchmarkSpec(**fields)
+        assert str(excinfo.value).startswith(message)
+
+    def test_stores_python_ints_and_tuples(self):
+        spec = BenchmarkSpec(
+            cases=[np.int64(2), 1],
+            p_values=[np.int32(8)],
+            n=np.int64(40),
+            replications=np.uint8(2),
+            estimators=["coat"],
+            seed=np.int64(7),
+        )
+        assert spec == BenchmarkSpec(
+            cases=(2, 1), p_values=(8,), n=40, replications=2, estimators=("coat",), seed=7
+        )
+        for value in (*spec.cases, *spec.p_values, spec.n, spec.replications, spec.seed):
+            assert type(value) is int
+        assert type(spec.cases) is type(spec.p_values) is type(spec.estimators) is tuple
+        assert json.loads(json.dumps(dataclasses.asdict(spec)))["cases"] == [2, 1]
 
 
 class TestCellSeeds:

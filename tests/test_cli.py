@@ -244,6 +244,27 @@ class TestEstimateCommand:
         assert rc == EXIT_USAGE
         assert "bad configuration" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_infinite_scad_knee_is_a_usage_error(self, samples_csv, tmp_path, capsys, source):
+        out = tmp_path / "fit"
+        if source == "flag":
+            extra = ["--rule", "scad:inf"]
+        else:
+            cfg = tmp_path / "rcec.conf"
+            cfg.write_text("rule = scad:inf\n")
+            extra = ["--config", str(cfg)]
+        assert run_estimate(samples_csv, out, *extra) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad configuration: ")
+        assert "bad threshold rule 'scad:inf': scad parameter a must be > 2 and finite" in err
+        assert not out.exists()
+
+    def test_infinite_alasso_exponent_runs(self, samples_csv, tmp_path):
+        outdir = tmp_path / "fit"
+        assert run_estimate(samples_csv, outdir, "--rule", "alasso:inf") == EXIT_OK
+        report = json.loads((outdir / "report.json").read_text())
+        assert report["config"]["rule"] == "alasso:inf"
+
     def test_config_file_and_flag_precedence(self, samples_csv, tmp_path):
         cfg = tmp_path / "rcec.conf"
         cfg.write_text("# tuned settings\ngrid_size = 10\nseed = 3\nfolds = 4\n")
@@ -343,6 +364,14 @@ class TestSimulateCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys):
+        # As for estimate, stability and benchmark.
+        out = tmp_path / "x.csv"
+        rc = main(["simulate", "--case", "1", "--seed", "-1", "--out", str(out)])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
+        assert not out.exists()
+
 
 class TestBenchmarkCommand:
     ARGS = [
@@ -398,6 +427,23 @@ class TestBenchmarkCommand:
         assert main(args + ["--folds", "4"] + out) == EXIT_USAGE
         assert capsys.readouterr().err == "error: need --n >= 2 * folds = 8, got 6\n"
         assert not (tmp_path / "b").exists()
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--cases", "1,1"], "each case may be listed once, got (1, 1)"),
+            (["--p", "10,10"], "each dimension may be listed once, got (10, 10)"),
+            (["--estimators", "coat,coat"], "each estimator may be listed once, got ('coat', 'coat')"),
+        ],
+        ids=["cases", "p", "estimators"],
+    )
+    def test_repeated_entries_are_usage_errors(self, tmp_path, capsys, extra, message):
+        # A repeated entry used to run its cells twice and double the replication count.
+        args = ["benchmark", "--cases", "1", "--p", "10", "--n", "20", "--replications", "2"]
+        out = tmp_path / "b"
+        assert main(args + ["--estimators", "coat"] + extra + ["--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_estimator_flag_is_rejected(self, tmp_path, capsys):
         # The arms come from --estimators; --estimator is neither a flag of

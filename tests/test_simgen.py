@@ -63,6 +63,15 @@ class TestCaseTable:
         with pytest.raises(ValueError, match="unknown simulation case"):
             get_case(5)
 
+    @pytest.mark.parametrize("case", [2.5, 2.7, 2.0, True, "2", None], ids=repr)
+    def test_get_case_takes_only_integer_keys(self, case):
+        # No truncation: 2.7 is not case 2, and True is not case 1.
+        with pytest.raises(ValueError, match="unknown simulation case"):
+            get_case(case)
+
+    def test_get_case_takes_numpy_integer_keys(self):
+        assert get_case(np.int64(3)) is CASES[3]
+
     def test_case_validation(self):
         with pytest.raises(ValueError, match="unknown case kind"):
             SimulationCase(kind="cauchy")

@@ -31,6 +31,13 @@ class TestRuleConstruction:
         with pytest.raises(ValueError, match="a must be > 2"):
             ThresholdRule.scad(2.0)
 
+    @pytest.mark.parametrize("a", [np.inf, np.nan, -np.inf])
+    def test_scad_knee_must_be_finite(self, a):
+        with pytest.raises(ValueError, match="a must be > 2 and finite"):
+            ThresholdRule.scad(a)
+        with pytest.raises(ValueError, match="bad threshold rule"):
+            ThresholdRule.parse(f"scad:{a}")
+
     @pytest.mark.parametrize(
         "text, kind, param",
         [

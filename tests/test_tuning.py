@@ -110,7 +110,7 @@ class TestEstimatorConfig:
     @given(
         L=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
         eta=st.floats(min_value=1.0),
-        a=st.floats(min_value=2.0, exclude_min=True),
+        a=st.floats(min_value=2.0, exclude_min=True, allow_infinity=False),
     )
     def test_kv_round_trip_keeps_every_float_bit(self, L, eta, a):
         for rule in (ThresholdRule.adaptive_lasso(eta), ThresholdRule.scad(a)):
