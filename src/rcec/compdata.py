@@ -70,6 +70,13 @@ def _check_count(value, name: str, minimum: int) -> int:
     return int(value)
 
 
+def _check_flag(value, name: str) -> bool:
+    """The package's one flag check: a bool or a numpy bool, returned as a bool."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a bool, got {value!r}")
+    return bool(value)
+
+
 @dataclass(frozen=True)
 class _Table:
     """Validated samples-by-components table (at least 2 of each)."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compdata import _as_matrix, _check_count, _check_seed, clr_transform
+from .compdata import _as_matrix, _check_count, _check_flag, _check_seed, clr_transform
 from .parallel import ordered_map
 from .threshold import threshold_matrix
 from .tuning import EstimatorConfig, estimate_from_latent, _subset_covariance
@@ -173,6 +173,7 @@ def bootstrap_stability(
     seed = _check_seed(seed)
     replicates = _check_count(replicates, "replicates", 1)
     retain_threshold = _check_count(retain_threshold, "retain_threshold", 0)
+    reuse_lambda = _check_flag(reuse_lambda, "reuse_lambda")
     if config is None:
         config = EstimatorConfig()
     # clr works row by row, so the clr rows of a resample are the resampled
@@ -219,6 +220,6 @@ def bootstrap_stability(
         retain_threshold=retain_threshold,
         seed=seed,
         lambda_star=baseline_fit.lambda_star,
-        reuse_lambda=bool(reuse_lambda),
+        reuse_lambda=reuse_lambda,
         baseline_omega=baseline_fit.omega,
     )

@@ -24,12 +24,11 @@ kernel for a single threshold.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .compdata import _as_matrix, _check_count
+from .compdata import _as_matrix, _check_count, _check_flag
 
 # Floor applied to covariance diagonals when computing entry thresholds.
 # A robust estimate can produce tiny or negative variances on degenerate
@@ -220,19 +219,10 @@ def _clamp_notes(arr: np.ndarray) -> list:
 def _entry_scale(arr: np.ndarray, n: int) -> np.ndarray:
     # The lam-free scale sqrt(d_i d_j log(p) / n) of a validated covariance,
     # d its diagonal floored at DIAG_FLOOR; thresholding at lam uses
-    # lam * scale, so a whole grid shares one scale.  The floor warns once,
-    # pointing at the caller of the public function that called here.
+    # lam * scale, so a whole grid shares one scale.  The fit reports the
+    # floor once, through _clamp_notes.
     _check_count(n, "n", 1)
-    diag = np.diag(arr)
-    clamped = int((diag < DIAG_FLOOR).sum())
-    if clamped:
-        warnings.warn(
-            f"{clamped} covariance diagonal entries below {DIAG_FLOOR:g} "
-            "were clamped for threshold computation",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    d = np.maximum(diag, DIAG_FLOOR)
+    d = np.maximum(np.diag(arr), DIAG_FLOOR)
     return np.sqrt(np.outer(d, d) * (math.log(arr.shape[0]) / n))
 
 
@@ -247,13 +237,14 @@ def threshold_matrix(
     """Threshold a covariance estimate entrywise.
 
     Off-diagonal entries pass through ``apply_rule`` at the entry-dependent
-    thresholds; the diagonal is kept untouched unless ``threshold_diagonal``
-    is set.  Shrinking variances buys nothing for support recovery and can
-    only push the estimate further from positive definiteness, hence the
-    default.
+    thresholds, which use the diagonal floored at ``DIAG_FLOOR``; the
+    diagonal is kept untouched unless ``threshold_diagonal`` is set.
+    Shrinking variances buys nothing for support recovery and can only push
+    the estimate further from positive definiteness, hence the default.
     """
     arr = _as_matrix(gamma, "covariance", square=True)
     if not (lam >= 0):
         raise ValueError(f"lam must be nonnegative, got {lam!r}")
-    kernel = _Kernel(rule, arr, keep_diagonal=not threshold_diagonal)
+    keep_diagonal = not _check_flag(threshold_diagonal, "threshold_diagonal")
+    kernel = _Kernel(rule, arr, keep_diagonal=keep_diagonal)
     return kernel(lam * _entry_scale(arr, n))

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .compdata import CompositionMatrix, _as_matrix, _check_count, _check_seed, clr_transform
+from .compdata import CompositionMatrix, _as_matrix, _check_count, _check_flag, _check_seed, clr_transform
 from .metrics import min_eigenvalue
 from .mom import _check_L, default_block_count, mom_covariance, sample_covariance
 from .threshold import (
@@ -91,6 +91,8 @@ class EstimatorConfig:
         object.__setattr__(self, "folds", _check_count(self.folds, "folds", 2))
         object.__setattr__(self, "grid_size", _check_count(self.grid_size, "grid_size", 2))
         object.__setattr__(self, "L", _check_L(self.L))
+        for name in ("enforce_pd", "threshold_diagonal"):
+            object.__setattr__(self, name, _check_flag(getattr(self, name), name))
         object.__setattr__(self, "seed", _check_seed(self.seed))
         if self.block_count is not None:
             object.__setattr__(self, "block_count", _check_count(self.block_count, "block_count", 1))
@@ -182,7 +184,7 @@ def _effective_block_count(config: EstimatorConfig, p: int, n_sub: int) -> int:
     if config.estimator == "coat":
         return 1
     if config.block_count is not None:
-        return min(int(config.block_count), n_sub)
+        return min(config.block_count, n_sub)
     return default_block_count(p, config.L, n_cap=n_sub)
 
 
@@ -198,10 +200,10 @@ def lambda_grid(gamma, n: int, grid_size: int = 50) -> np.ndarray:
     all-zeroing value.
 
     The upper end is ``max_{i != j} |gamma_ij| / sqrt(gamma_ii gamma_jj
-    log(p) / n)``: at that value the entry-dependent threshold covers every
-    off-diagonal entry, so under soft thresholding the estimate is exactly
-    diagonal.  Without off-diagonal signal the grid degenerates to
-    ``[0, 1e-12]``.
+    log(p) / n)``, the diagonal floored at ``DIAG_FLOOR``: at that value the
+    entry-dependent threshold covers every off-diagonal entry, so under soft
+    thresholding the estimate is exactly diagonal.  Without off-diagonal
+    signal the grid degenerates to ``[0, 1e-12]``.
     """
     arr = _as_matrix(gamma, "covariance", square=True)
     grid_size = _check_count(grid_size, "grid_size", 2)
@@ -239,7 +241,9 @@ def make_folds(n: int, folds: int, seed: int) -> list:
     Each fold is returned in increasing index order, so subsets preserve the
     stored sample order.
     """
+    n = _check_count(n, "n", 1)
     folds = _check_count(folds, "folds", 2)
+    seed = _check_seed(seed)
     if n < 2 * folds:
         raise ValueError(f"need n >= 2 * folds = {2 * folds}, got n = {n}")
     order = np.random.default_rng(seed).permutation(n)
@@ -332,13 +336,13 @@ def _is_pd(omega: np.ndarray) -> bool:
 def pd_floor_scan(gamma, grid, n: int, config: EstimatorConfig):
     """Restrict a tuning grid to values giving a positive definite estimate.
 
-    Thresholds the full-data covariance ``gamma`` (from ``n`` samples) at
-    every grid value and returns ``(restricted_grid, warnings)``: the suffix
-    starting at the smallest value whose minimum eigenvalue exceeds
-    ``PD_TOL``.  If no value qualifies the full grid is returned with a
-    warning.  The qualifying set is expected to be a suffix (thresholding
-    harder moves the estimate toward its diagonal); a warning reports any
-    exception observed.
+    Thresholds the full-data covariance ``gamma`` (from ``n`` samples, its
+    diagonal floored at ``DIAG_FLOOR``) at every grid value and returns
+    ``(restricted_grid, warnings)``: the suffix starting at the smallest
+    value whose minimum eigenvalue exceeds ``PD_TOL``.  If no value
+    qualifies the full grid is returned with a warning.  The qualifying set
+    is expected to be a suffix (thresholding harder moves the estimate
+    toward its diagonal); a warning reports any exception observed.
     """
     arr = _as_matrix(gamma, "covariance", square=True)
     grid = _as_grid(grid)

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import cli_env
 
 from rcec import cli
 from rcec.bench import TABLE_COLUMNS
@@ -169,9 +170,6 @@ class TestEstimateCommand:
         for name in ("omega.csv", "edges.json", "report.json"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
-    # Tiny count tables can clamp near-zero clr variances; that path is
-    # exercised deliberately here, so silence the advisory.
-    @pytest.mark.filterwarnings("ignore:.*diagonal entries below")
     def test_counts_input(self, tmp_path):
         path = tmp_path / "counts.csv"
         rng = np.random.default_rng(0)
@@ -213,9 +211,6 @@ class TestEstimateCommand:
         assert rc == EXIT_DATA
         assert "strictly positive" in capsys.readouterr().err
 
-    # A constant table also has zero clr variance, which trips the diagonal
-    # clamp warning before the fold check raises.
-    @pytest.mark.filterwarnings("ignore:.*diagonal entries below")
     def test_too_few_samples_is_a_data_error(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("a,b,c\n" + "0.2,0.3,0.5\n" * 4)
@@ -516,6 +511,27 @@ class TestStabilityCommand:
         out = tmp_path / "s.json"
         assert self.run(samples_csv, out, "--reuse-lambda") == EXIT_OK
         assert json.loads(out.read_text())["metadata"]["reuse_lambda"] is True
+
+    def test_stderr_does_not_depend_on_the_worker_count(self, tmp_path):
+        # All-equal rows have zero clr variance, so every replicate floors
+        # its diagonal; the floor is a note of the fit, never a line per worker.
+        (tmp_path / "equal.csv").write_text("a,b,c,d\n" + "0.1,0.2,0.3,0.4\n" * 12)
+        argv = [
+            sys.executable, "-m", "rcec", "stability", "equal.csv", "-B", "4",
+            "--retain", "1", "--grid-size", "5", "--reuse-lambda", "--out", "s.json",
+        ]
+        runs = []
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                argv,
+                cwd=tmp_path,
+                env=cli_env({"RCEC_THREADS": threads}),
+                capture_output=True,
+                timeout=120,
+            )
+            assert proc.returncode == EXIT_OK, proc.stderr
+            runs.append((proc.stderr, (tmp_path / "s.json").read_bytes()))
+        assert runs[0] == runs[1]
 
     def test_parameter_validation(self, samples_csv, tmp_path, capsys):
         out = str(tmp_path / "s.json")

@@ -42,10 +42,6 @@ DIGESTS = Path(__file__).with_name("contract_digests.json")
 # Help rows wrap at this terminal width.
 COLUMNS = "80"
 
-# Rows that clamp a zero clr variance, and the warning filter they run under.
-CLAMP_FILTER = "ignore:.*diagonal entries below"
-CLAMPED_ROWS = {"estimate-all-equal"}
-
 EST = "estimate inputs/case2.csv --grid-size 12 --out {out}"
 
 # Row name -> commands; ``{out}`` is the row's own output directory.
@@ -198,15 +194,7 @@ def test_matrix_is_recorded(recorded):
     assert list(recorded) == list(ROWS)
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        pytest.param(name, marks=pytest.mark.filterwarnings(CLAMP_FILTER))
-        if name in CLAMPED_ROWS
-        else name
-        for name in ROWS
-    ],
-)
+@pytest.mark.parametrize("name", ROWS)
 def test_row_matches_its_digests(name, recorded, workdir, monkeypatch):
     monkeypatch.chdir(workdir)
     monkeypatch.setenv("COLUMNS", COLUMNS)
@@ -226,9 +214,6 @@ def record() -> None:
             with warnings.catch_warnings():
                 # The suite turns a RuntimeWarning into an error.
                 warnings.simplefilter("error", RuntimeWarning)
-                if name in CLAMPED_ROWS:
-                    action, message = CLAMP_FILTER.split(":", 1)
-                    warnings.filterwarnings(action, message=message)
                 rows[name] = run_row(name)
         os.chdir(DIGESTS.parent)
     contract = {"key": environment_key(), "rows": rows}

@@ -281,6 +281,15 @@ class TestBootstrapStability:
         assert 0.0 <= quick.stability <= 1.0
         assert 0.0 <= quick.sign_agreement <= 1.0
 
+    @pytest.mark.parametrize("value", ["no", 0, 1, None])
+    def test_reuse_lambda_must_be_a_bool(self, value):
+        with pytest.raises(ValueError, match="reuse_lambda must be a bool"):
+            bootstrap_stability(case1_composition(), FAST, replicates=2, reuse_lambda=value)
+
+    def test_numpy_bool_reuse_lambda_is_stored_as_a_python_bool(self):
+        result = bootstrap_stability(case1_composition(), FAST, replicates=2, reuse_lambda=np.True_)
+        assert result.reuse_lambda is True
+
     def test_result_metadata(self):
         x = case1_composition()
         result = bootstrap_stability(x, FAST, replicates=3, retain_threshold=2, seed=9)

@@ -216,10 +216,10 @@ class TestEntryThresholds:
         t = entry_thresholds(gamma, 1.0, n=100)
         assert t[0, 1] == pytest.approx(np.sqrt(np.log(4) / 100))
 
-    def test_degenerate_diagonal_clamped_with_warning(self):
+    def test_degenerate_diagonal_clamped(self):
+        # The floor is silent here; a fit reports it once, as a note.
         gamma = np.array([[1.0, 0.5], [0.5, -2.0]])
-        with pytest.warns(RuntimeWarning, match="clamped"):
-            t = entry_thresholds(gamma, 1.0, n=1)
+        t = entry_thresholds(gamma, 1.0, n=1)
         assert t[1, 1] == pytest.approx(1e-12 * np.sqrt(np.log(2)), abs=1e-15)
         assert t[0, 1] == pytest.approx(np.sqrt(1e-12 * np.log(2)))
 
@@ -235,6 +235,10 @@ class TestEntryThresholds:
             threshold_matrix(np.array([[np.inf, 0], [0, 1.0]]), 1.0, 10, soft)
         with pytest.raises(ValueError, match="n must be"):
             threshold_matrix(np.eye(2), 1.0, 0, soft)
+
+    def test_threshold_diagonal_must_be_a_bool(self):
+        with pytest.raises(ValueError, match="threshold_diagonal must be a bool"):
+            threshold_matrix(np.eye(2), 1.0, 10, ThresholdRule.soft(), threshold_diagonal="false")
 
 
 class TestThresholdMatrix:

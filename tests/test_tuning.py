@@ -87,6 +87,17 @@ class TestEstimatorConfig:
             assert type(getattr(cfg, name)) is int, name
         assert json.loads(json.dumps(cfg.to_dict()))["folds"] == 5
 
+    @pytest.mark.parametrize("name", ["enforce_pd", "threshold_diagonal"])
+    @pytest.mark.parametrize("value", ["false", "no", 0, 1, None, np.array([True])])
+    def test_flags_must_be_bools(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be a bool"):
+            EstimatorConfig(**{name: value})
+
+    def test_numpy_bools_are_stored_as_python_bools(self):
+        cfg = EstimatorConfig(enforce_pd=np.True_, threshold_diagonal=np.False_)
+        assert cfg.enforce_pd is True and cfg.threshold_diagonal is False
+        assert json.loads(json.dumps(cfg.to_dict()))["enforce_pd"] is True
+
     @pytest.mark.parametrize(
         "cfg",
         [
@@ -214,6 +225,21 @@ class TestMakeFolds:
         with pytest.raises(ValueError, match="n >= 2"):
             make_folds(9, 5, seed=0)
 
+    @pytest.mark.parametrize(
+        "n, seed, message",
+        [
+            (10.0, 0, "n must be an integer"),
+            (True, 0, "n must be an integer"),
+            (0, 0, "n must be >= 1"),
+            (10, 1.5, "seed must be an integer"),
+            (10, True, "seed must be an integer"),
+            (10, -1, "seed must be nonnegative"),
+        ],
+    )
+    def test_n_and_seed_are_checked(self, n, seed, message):
+        with pytest.raises(ValueError, match=message):
+            make_folds(n, 2, seed)
+
 
 class TestCvSelect:
     def test_winner_is_grid_member_and_deterministic(self):
@@ -307,8 +333,7 @@ class TestPdFloor:
         # off-diagonal thresholding, so no grid value qualifies.
         gamma = np.array([[1.0, 0.2, 0.1], [0.2, -5.0, 0.3], [0.1, 0.3, 1.0]])
         grid = np.linspace(0.0, 2.0, 6)
-        with pytest.warns(RuntimeWarning):
-            restricted, notes = pd_floor_scan(gamma, grid, 50, EstimatorConfig())
+        restricted, notes = pd_floor_scan(gamma, grid, 50, EstimatorConfig())
         np.testing.assert_array_equal(restricted, grid)
         assert any("full grid" in note for note in notes)
 
@@ -454,9 +479,6 @@ RULES = [ThresholdRule.soft(), ThresholdRule.adaptive_lasso(2.0), ThresholdRule.
 
 
 class TestGridLoop:
-    # Median-of-means on small folds can return near-zero variances; the
-    # clamped path is part of what is compared.
-    @pytest.mark.filterwarnings("ignore:.*diagonal entries below")
     @given(
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(10, 30),
@@ -519,18 +541,19 @@ class TestGridLoop:
             pd_floor_scan(gamma, grid, 40, cfg)
 
     @pytest.mark.parametrize("estimator", ["rcec", "coat"])
-    def test_clamp_warns_once_per_thresholded_covariance(self, estimator):
+    def test_clamp_is_noted_once_per_fit(self, estimator):
         # All-equal rows have zero clr variance, so every covariance the fit
         # thresholds needs the diagonal floor: the full-data one in the grid,
-        # the PD scan and the final fit, and one per CV fold.
+        # the PD scan and the final fit, and one per CV fold.  The fit
+        # reports the floor once, as a note, and issues no Python warning.
         x = CompositionMatrix(np.tile([0.1, 0.2, 0.3, 0.15, 0.05, 0.2], (40, 1)))
         config = EstimatorConfig(estimator=estimator, grid_size=50, folds=5)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             result = estimate(x, config)
-        clamps = [w for w in caught if "diagonal entries below" in str(w.message)]
-        assert len(clamps) == config.folds + 3
-        assert all(w.category is RuntimeWarning for w in clamps)
+        assert caught == []
+        clamps = [note for note in result.warnings if "clamped" in note]
+        assert len(clamps) == 1
         low = float(np.diag(result.gamma).min())
         assert result.warnings[0] == (
             f"covariance diagonal entries as low as {low:.3g} were clamped "
