@@ -70,7 +70,8 @@ def _block_moments(block: np.ndarray):
     # Shared by the sample and MOM paths so that MOM with one block is
     # bitwise identical to the sample covariance.
     mean = block.mean(axis=0)
-    second = block.T @ block / block.shape[0]
+    second = block.T @ block
+    second /= block.shape[0]
     return mean, second
 
 

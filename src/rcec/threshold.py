@@ -13,12 +13,16 @@ Entry-level thresholds follow the variance-adaptive recipe
 
 so a single scale-free tuning parameter ``lam`` serves all entries.
 
-Tuning thresholds one covariance at a whole grid of ``lam`` values, so the
-rules run through one kernel per covariance: it computes the lam-free parts
-(``|z|``, ``sign(z)`` and, for the clipped rule, ``(a - 1) z`` and
-``a sign(z)``) once and writes each threshold's estimate into buffers it
-reuses.  :func:`apply_rule` and :func:`threshold_matrix` build the same
-kernel for a single threshold.
+The rules run through one kernel: it computes the lam-free parts (``|z|``,
+``sign(z)`` and, for the clipped rule, ``(a - 1) z`` and ``a sign(z)``) of
+the array it is given and writes the estimate at a threshold into its own
+buffers.  :func:`apply_rule` and :func:`threshold_matrix` build it on the
+whole array for a single threshold.  Tuning thresholds one covariance at a
+whole grid of ``lam`` values, and its sweep touches only the entries that
+can still change: an entry at or below its threshold is zero under every
+rule and stays zero at every larger ``lam``, so from then on the sweep
+builds the kernel on the remaining entries alone.  The estimates, and every
+output, are the same bits as a pass over the whole matrix.
 """
 
 from __future__ import annotations

@@ -224,14 +224,24 @@ def _as_grid(grid) -> np.ndarray:
     return grid
 
 
-def _threshold_grid(arr, scale, grid, config: EstimatorConfig):
-    # The estimate at each grid value, from one entry scale; the covariance
-    # and the grid are validated.  Every value is the kernel's one output
-    # buffer: the next value overwrites it, so use each before advancing.
-    kernel = _Kernel(config.rule, arr, keep_diagonal=not config.threshold_diagonal)
-    thresholds = np.empty_like(arr)
-    for lam in grid:
-        yield kernel(np.multiply(lam, scale, out=thresholds))
+def _sweep(arr, scale, grid, config: EstimatorConfig):
+    # The estimate at every grid value, as the entries that can still change.
+    # Walks the grid in increasing order and yields (g, idx, values): the grid
+    # index, the flat indices of the live entries and their thresholded values,
+    # which the caller may scribble on.  An entry at or below its threshold is
+    # zero, with the same bits, at every larger value, so it is then dropped;
+    # a NaN threshold keeps it live.  The covariance and the grid are validated.
+    live = np.arange(arr.size)
+    if not config.threshold_diagonal:
+        live = np.delete(live, np.s_[:: arr.shape[0] + 1])
+    z, scale = arr.reshape(-1)[live], scale.reshape(-1)[live]
+    for g in np.argsort(grid, kind="stable"):
+        t = np.multiply(grid[g], scale)
+        kernel = _Kernel(config.rule, z)
+        yield g, live, kernel(t)
+        keep = np.logical_not(np.less_equal(kernel.absz, t))
+        del kernel, t  # not alive while the next step allocates its own
+        live, z, scale = live[keep], z[keep], scale[keep]
 
 
 def make_folds(n: int, folds: int, seed: int) -> list:
@@ -248,6 +258,26 @@ def make_folds(n: int, folds: int, seed: int) -> list:
         raise ValueError(f"need n >= 2 * folds = {2 * folds}, got n = {n}")
     order = np.random.default_rng(seed).permutation(n)
     return [np.sort(chunk) for chunk in np.array_split(order, folds)]
+
+
+def _fold_errors(values, test_idx, grid, config: EstimatorConfig) -> np.ndarray:
+    # One fold's squared Frobenius distance at every grid value.  The p x p
+    # error array is rewritten only where the sweep changes the estimate and
+    # summed whole, in the order a fresh array would be; the fold's arrays
+    # are freed before the next fold's covariance is formed.
+    train = np.delete(values, test_idx, axis=0)
+    gamma_train = _subset_covariance(train, config)
+    gamma_test = _subset_covariance(values[test_idx], config)
+    err = np.subtract(gamma_train, gamma_test)
+    np.multiply(err, err, out=err)
+    flat_err, flat_test = err.reshape(-1), gamma_test.reshape(-1)
+    row = np.empty(grid.size)
+    sweep = _sweep(gamma_train, _entry_scale(gamma_train, train.shape[0]), grid, config)
+    for g, idx, fitted in sweep:
+        np.subtract(fitted, flat_test[idx], out=fitted)
+        flat_err[idx] = np.multiply(fitted, fitted, out=fitted)
+        row[g] = float(err.sum())
+    return row
 
 
 def cv_select(W, config: EstimatorConfig, *, grid=None):
@@ -269,6 +299,14 @@ def cv_select(W, config: EstimatorConfig, *, grid=None):
         The winning value and the CV curve as an array of
         ``(candidate, mean error)`` rows.  Ties resolve to the largest
         candidate.
+
+    Notes
+    -----
+    Each fold sweeps the grid in increasing order and rethresholds only
+    the entries not yet zeroed, rewriting their squared errors in one
+    p x p array that is then summed whole; a grid given unsorted or with
+    repeats is swept sorted and scored back in its own order.  The curve
+    is the same bits as thresholding the whole matrix at every value.
     """
     values = _as_matrix(W, "data matrix")
     n = values.shape[0]
@@ -277,17 +315,7 @@ def cv_select(W, config: EstimatorConfig, *, grid=None):
         grid = lambda_grid(_subset_covariance(values, config), n, config.grid_size)
     grid = _as_grid(grid)
 
-    errors = np.zeros((len(fold_indices), grid.size))
-    for v, test_idx in enumerate(fold_indices):
-        train = np.delete(values, test_idx, axis=0)
-        gamma_train = _subset_covariance(train, config)
-        gamma_test = _subset_covariance(values[test_idx], config)
-        scale = _entry_scale(gamma_train, train.shape[0])
-        for g, omega in enumerate(_threshold_grid(gamma_train, scale, grid, config)):
-            # Squared Frobenius distance, computed in the kernel's buffer.
-            np.subtract(omega, gamma_test, out=omega)
-            np.multiply(omega, omega, out=omega)
-            errors[v, g] = float(omega.sum())
+    errors = np.stack([_fold_errors(values, test_idx, grid, config) for test_idx in fold_indices])
     mean_errors = errors.mean(axis=0)
     if not np.all(np.isfinite(mean_errors)):
         raise ValueError("cross-validation error is not finite; the fold covariances overflow")
@@ -343,11 +371,19 @@ def pd_floor_scan(gamma, grid, n: int, config: EstimatorConfig):
     qualifies the full grid is returned with a warning.  The qualifying set
     is expected to be a suffix (thresholding harder moves the estimate
     toward its diagonal); a warning reports any exception observed.
+
+    The scan keeps one estimate and, walking the grid in increasing order,
+    rewrites only the entries not yet zeroed; the decisions are those of
+    thresholding the whole matrix at every value, in the grid's own order.
     """
     arr = _as_matrix(gamma, "covariance", square=True)
     grid = _as_grid(grid)
-    omegas = _threshold_grid(arr, _entry_scale(arr, n), grid, config)
-    qualifies = np.array([_is_pd(omega) for omega in omegas])
+    omega = arr.copy()
+    flat = omega.reshape(-1)
+    qualifies = np.empty(grid.size, dtype=bool)
+    for g, idx, values in _sweep(arr, _entry_scale(arr, n), grid, config):
+        flat[idx] = values
+        qualifies[g] = _is_pd(omega)
     notes = []
     if not qualifies.any():
         notes.append(

@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from rcec import EstimatorConfig, ThresholdRule, apply_rule, threshold_matrix
 from rcec.threshold import _entry_scale
-from rcec.tuning import _threshold_grid
+from rcec.tuning import _sweep
 
 RULES = [
     ThresholdRule.soft(),
@@ -373,21 +373,38 @@ class TestKernelMatchesReference:
 
     @pytest.mark.parametrize("rule", KERNEL_RULES, ids=ThresholdRule.spec)
     @pytest.mark.parametrize("threshold_diagonal", [False, True])
-    def test_grid_buffer_is_rewritten_at_every_value(self, rule, threshold_diagonal):
-        # The grid yields one buffer; scribbling on it must not leak into
-        # the next value.
+    def test_sweep_rebuilds_every_value_from_the_live_entries(self, rule, threshold_diagonal):
+        # An unsorted grid with a repeat, over entries on the rule boundaries:
+        # writing each yield into one matrix must rebuild the estimate at that
+        # value bit for bit, and an entry is yielded again only while it sits
+        # above its threshold at every smaller value.
         n = 50
         gamma = boundary_covariance(0.7, n, rule.a, seed=9)
+        p = gamma.shape[0]
         config = EstimatorConfig(rule=rule, threshold_diagonal=threshold_diagonal)
-        grid = np.array([0.0, 0.35, 0.7, 0.7 * 2.0, 3.0])
+        grid = np.array([3.0, 0.35, 0.0, 1.4, 0.7, 0.35])
         scale = _entry_scale(gamma, n)
-        seen = 0
-        for lam, omega in zip(grid, _threshold_grid(gamma, scale, grid, config)):
-            expected = reference_threshold_matrix(gamma, lam, n, rule, threshold_diagonal)
+        entries = np.arange(p * p)
+        if not threshold_diagonal:
+            entries = entries[entries % (p + 1) != 0]
+        omega = gamma.copy()
+        flat = omega.reshape(-1)
+        seen = []
+        previous = None
+        for g, idx, values in _sweep(gamma, scale, grid, config):
+            if previous is None:
+                live = entries
+            else:
+                above = np.abs(gamma.reshape(-1)) > previous * scale.reshape(-1)
+                live = entries[above[entries]]
+            np.testing.assert_array_equal(idx, live)
+            flat[idx] = values
+            values.fill(np.nan)
+            expected = reference_threshold_matrix(gamma, grid[g], n, rule, threshold_diagonal)
             assert_same_bits(omega, expected)
-            omega.fill(np.nan)
-            seen += 1
-        assert seen == grid.size
+            seen.append(g)
+            previous = grid[g]
+        assert sorted(seen) == list(range(grid.size))
 
     @pytest.mark.parametrize("rule", KERNEL_RULES, ids=ThresholdRule.spec)
     @given(

@@ -1,6 +1,7 @@
 """Grid construction, cross-validation, PD floor, and the full pipeline."""
 
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -315,6 +316,31 @@ class TestCvSelect:
         with pytest.raises(ValueError, match="cross-validation error is not finite"):
             cv_select(w, cfg, grid=[0.0, 0.5])
 
+    @pytest.mark.parametrize(
+        "rule", [ThresholdRule.soft(), ThresholdRule.scad(3.7)], ids=ThresholdRule.spec
+    )
+    def test_folds_do_not_outlive_their_scores(self, rule):
+        # With many blocks the median-of-means buffer sets the peak.  A fold's
+        # p x p arrays (its covariances, entry scale and errors) must be freed
+        # before the next fold's covariance is formed, so the whole selection
+        # peaks at most two p x p arrays above one training covariance.
+        n, p, m = 80, 100, 60
+        w = np.random.default_rng(7).normal(size=(n, p))
+        cfg = EstimatorConfig(block_count=m, rule=rule)
+        grid = np.linspace(0.0, 3.0, 10)
+        train = w[: n - n // cfg.folds]
+        cv_select(w, cfg, grid=grid)  # warm-up: first-call allocations are not the loop's
+        peaks = []
+        for call in (lambda: _subset_covariance(train, cfg), lambda: cv_select(w, cfg, grid=grid)):
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        one_covariance, selection = peaks
+        assert selection < one_covariance + 2 * p * p * 8
+
 
 class TestPdFloor:
     def test_pd_input_keeps_full_grid(self):
@@ -489,12 +515,14 @@ class TestGridLoop:
         estimator=st.sampled_from(["rcec", "coat"]),
         grid_size=st.integers(2, 12),
         stretch=st.floats(0.5, 3.0),
+        order=st.sampled_from(["sorted", "shuffled", "repeated"]),
     )
     def test_matches_one_threshold_matrix_call_per_value(
-        self, seed, n, p, folds, rule, threshold_diagonal, estimator, grid_size, stretch
+        self, seed, n, p, folds, rule, threshold_diagonal, estimator, grid_size, stretch, order
     ):
         # Heavy-tailed, correlated data; the grid is stretched past the
-        # all-zeroing value or shrunk below it.
+        # all-zeroing value or shrunk below it, and may come unsorted or
+        # with repeated values.
         rng = np.random.default_rng(seed)
         values = rng.standard_t(3, size=(n, p)) @ rng.normal(size=(p, p))
         config = EstimatorConfig(
@@ -503,6 +531,10 @@ class TestGridLoop:
         )
         gamma = _subset_covariance(values, config)
         grid = lambda_grid(gamma, n, grid_size) * stretch
+        if order == "shuffled":
+            grid = rng.permutation(grid)
+        elif order == "repeated":
+            grid = grid[rng.integers(0, grid_size, grid_size + 3)]
 
         restricted, notes = pd_floor_scan(gamma, grid, n, config)
         ref_restricted, ref_notes = _reference_pd_floor_scan(gamma, grid, n, config)
@@ -527,6 +559,27 @@ class TestGridLoop:
         grid = lambda_grid(_subset_covariance(w, config), 80, 30)
         lam, curve = cv_select(w, config, grid=grid)
         assert np.array_equal(curve, _reference_cv_curve(w, config, grid))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("threshold_diagonal", [False, True])
+    def test_overflowing_entry_scale_matches_the_loop(self, threshold_diagonal):
+        # Variances near 1e200 overflow the entry scale of their pair, so at
+        # lam = 0 the threshold is 0 * inf = NaN, which the clipped rule maps
+        # to the entry itself; past 0 it is inf and the entry is zero.  The
+        # oversized pair makes the estimate indefinite until it is zeroed, so
+        # an entry dropped on its NaN threshold would change the restriction.
+        gamma = np.diag([1e200, 1e200, 1.0, 2.0])
+        gamma[0, 1] = gamma[1, 0] = 2e200
+        gamma[2, 3] = gamma[3, 2] = 0.5
+        config = EstimatorConfig(
+            rule=ThresholdRule.scad(3.7), threshold_diagonal=threshold_diagonal
+        )
+        grid = np.array([0.5, 0.0, 2.0, 0.0])
+        restricted, notes = pd_floor_scan(gamma, grid, 40, config)
+        ref_restricted, ref_notes = _reference_pd_floor_scan(gamma, grid, 40, config)
+        assert np.array_equal(restricted, ref_restricted)
+        assert notes == ref_notes
 
     @pytest.mark.parametrize("bad", [-0.5, float("nan")])
     def test_negative_or_nan_grid_value_rejected(self, bad):
