@@ -12,16 +12,21 @@ separately under one shared partition:
 With a single block the medians are plain means and the estimator collapses
 to the sample covariance (divisor n).
 
-The second-moment median runs on the packed upper triangle: one block-major
-m by p(p + 1) / 2 buffer, filled one block at a time.  The matrices are
+The second-moment median runs on a boolean entry mask, one block-major
+m by k buffer over the k masked entries in row-major order, filled one block
+at a time.  ``mom_covariance`` masks the upper triangle: the matrices are
 symmetric, so the lower triangle is a mirror and needs no median of its own,
-and the m x p x p stack ``np.median`` would take is never built.  The buffer
-is sorted in place along its block axis rather than partitioned: the columns
-are short (m is about 3 ln p), numpy sorts short columns faster than its
-multi-``kth`` partition selects in them, and the sort needs no second buffer.
-The median is then the mean of the middle one or two sorted values, which is
-how ``np.median`` computes it, so the result is bitwise equal to
-``np.median`` over the block axis.
+and the m x p x p stack ``np.median`` would take is never built.  A caller
+that reads only some entries (a bootstrap replicate reads its baseline edges
+and the diagonal) masks just those.  Each block's undivided ``block.T @
+block`` is gathered at the mask and then divided by the block size; the
+division is elementwise, so gathering first gives the same bits and divides
+only the kept entries.  The buffer is sorted in place along its block axis
+rather than partitioned: the columns are short (m is about 3 ln p), numpy
+sorts short columns faster than its multi-``kth`` partition selects in them,
+and the sort needs no second buffer.  The median is then the mean of the
+middle one or two sorted values, which is how ``np.median`` computes it, so
+the result is bitwise equal to ``np.median`` over the block axis.
 
 Both estimators are bitwise symmetric with no symmetrizing pass:
 ``block.T @ block`` runs as a BLAS rank-k update that computes one triangle
@@ -68,16 +73,35 @@ def default_block_count(p: int, L: float = 1.0, n_cap: int | None = None) -> int
 
 def _block_moments(block: np.ndarray):
     # Shared by the sample and MOM paths so that MOM with one block is
-    # bitwise identical to the sample covariance.
-    mean = block.mean(axis=0)
-    second = block.T @ block
-    second /= block.shape[0]
-    return mean, second
+    # bitwise identical to the sample covariance.  The second moment is
+    # left undivided: each caller divides the entries it keeps.
+    return block.mean(axis=0), block.T @ block
+
+
+def _median_moments(arr: np.ndarray, block_count: int, mask: np.ndarray):
+    """Median-of-means first moments, and second moments at ``mask``.
+
+    ``arr`` is a validated n x p data matrix with ``1 <= block_count <= n``
+    and ``mask`` a p x p boolean array.  Returns the length-p median of the
+    block means and the median of the block second moments at the masked
+    entries, in row-major order.
+    """
+    means = np.empty((block_count, arr.shape[1]))
+    seconds = np.empty((block_count, np.count_nonzero(mask)))
+    for l, block in enumerate(np.array_split(arr, block_count)):
+        means[l], second = _block_moments(block)
+        seconds[l] = second[mask]
+        seconds[l] /= block.shape[0]
+    seconds.sort(axis=0)
+    middle = seconds[(block_count - 1) // 2 : block_count // 2 + 1].mean(axis=0)
+    return np.median(means, axis=0), middle
 
 
 def sample_covariance(W) -> np.ndarray:
     """Sample covariance with divisor n (not n - 1)."""
-    mean, second = _block_moments(_as_matrix(W, "data matrix", min_rows=2))
+    arr = _as_matrix(W, "data matrix", min_rows=2)
+    mean, second = _block_moments(arr)
+    second /= arr.shape[0]
     return second - np.outer(mean, mean)
 
 
@@ -105,15 +129,8 @@ def mom_covariance(W, block_count: int) -> np.ndarray:
     if block_count > n:
         raise ValueError(f"block_count {block_count} exceeds sample count {n}")
     upper = np.triu(np.ones((p, p), dtype=bool))
-    means = np.empty((block_count, p))
-    seconds = np.empty((block_count, p * (p + 1) // 2))
-    for l, block in enumerate(np.array_split(arr, block_count)):
-        means[l], second = _block_moments(block)
-        seconds[l] = second[upper]
-    seconds.sort(axis=0)
-    middle = seconds[(block_count - 1) // 2 : block_count // 2 + 1].mean(axis=0)
+    med_mean, middle = _median_moments(arr, block_count, upper)
     med_second = np.empty((p, p))
     med_second[upper] = middle
     med_second.T[upper] = middle
-    med_mean = np.median(means, axis=0)
     return med_second - np.outer(med_mean, med_mean)

@@ -16,9 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .compdata import _as_matrix, _check_count, _check_flag, _check_seed, clr_transform
+from .mom import _median_moments
 from .parallel import ordered_map
 from .threshold import threshold_matrix
-from .tuning import EstimatorConfig, estimate_from_latent, _subset_covariance
+from .tuning import EstimatorConfig, estimate_from_latent, _effective_block_count
 
 DEFAULT_REPLICATES = 100
 DEFAULT_RETAIN = 50
@@ -159,7 +160,9 @@ def bootstrap_stability(
     reuse_lambda : bool
         Skip per-replicate cross-validation and threshold each resampled
         covariance at the baseline tuning value.  Faster, slightly
-        optimistic about stability.
+        optimistic about stability.  A replicate then forms its covariance
+        only at the baseline edges and the diagonal (which sets the entry
+        thresholds), with the same values as the full matrix.
     index_sampler : callable, optional
         ``f(rng, n) -> indices`` producing each replicate's row indices;
         defaults to iid uniform resampling with replacement.  A sampler
@@ -184,8 +187,13 @@ def bootstrap_stability(
     baseline = extract_edges(baseline_fit.omega)
     rows = np.array([e.i for e in baseline.edges], dtype=np.intp)
     cols = np.array([e.j for e in baseline.edges], dtype=np.intp)
-    n = W.shape[0]
+    n, p = W.shape
     children = np.random.SeedSequence(seed).spawn(replicates)
+    # A reuse-lambda replicate reads its estimate at the baseline edges, and
+    # their thresholds read the diagonal; the covariance is formed there only.
+    mask = np.eye(p, dtype=bool)
+    mask[rows, cols] = True
+    mask_rows, mask_cols = np.nonzero(mask)
 
     def one_replicate(child):
         # The replicate's estimate at the baseline edges, one value per edge.
@@ -193,7 +201,11 @@ def bootstrap_stability(
         idx = index_sampler(rng, n) if index_sampler is not None else rng.integers(0, n, n)
         w = W[np.asarray(idx, dtype=np.intp)]
         if reuse_lambda:
-            gamma = _subset_covariance(w, config)
+            w = _as_matrix(w, "data matrix", min_rows=2)
+            m = _effective_block_count(config, p, w.shape[0])
+            med_mean, med_second = _median_moments(w, m, mask)
+            gamma = np.zeros((p, p))
+            gamma[mask] = med_second - med_mean[mask_rows] * med_mean[mask_cols]
             omega = threshold_matrix(
                 gamma,
                 baseline_fit.lambda_star,

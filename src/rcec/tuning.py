@@ -344,11 +344,15 @@ def _is_pd(omega: np.ndarray) -> bool:
     ``PD_TOL`` settles every matrix whose smallest eigenvalue lies outside
     the band ``PD_TOL +- delta``; inside it the eigenvalue decides.  A
     symmetric ``omega`` whose Gershgorin lower bound on the eigenvalues
-    already clears the band needs no factorization.
+    already clears the band needs no factorization.  A matrix whose column
+    sums are not finite does not qualify.  That covers NaN entries, which
+    ``min_eigenvalue`` refuses and Cholesky factors into NaN without raising.
     """
     p = omega.shape[0]
     colsum = np.abs(omega).sum(axis=0)
     delta = _CHOLESKY_MARGIN * p * np.finfo(np.float64).eps * colsum.max()
+    if not np.isfinite(delta):
+        return False
     # Gershgorin: every eigenvalue is at least min_i (d_i - sum_{j != i}
     # |omega_ij|); the column sums already hold |d_i| + that sum.
     diag = np.diag(omega)

@@ -8,6 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from rcec import default_block_count, mom_covariance, sample_covariance
+from rcec.mom import _median_moments
 
 
 def _mom_reference(w, sizes):
@@ -212,6 +213,34 @@ class TestMomCovariance:
         x = np.array([[0.2, 0.3, 0.5], [0.1, 0.6, 0.3], [0.4, 0.4, 0.2], [0.25, 0.5, 0.25]])
         w = clr_transform(x)
         np.testing.assert_array_equal(mom_covariance(w, 2), mom_covariance(w.values, 2))
+
+
+class TestMedianMoments:
+    """The masked kernel gives the full estimators' bits at its entries."""
+
+    @given(
+        n=st.integers(2, 40),
+        p=st.integers(1, 8),
+        m=st.integers(1, 40),
+        ties=st.booleans(),
+        density=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=6, p=3, m=1, ties=True, density=1.0, seed=0)
+    @example(n=6, p=3, m=4, ties=True, density=0.0, seed=0)
+    def test_matches_full_estimators_at_the_mask(self, n, p, m, ties, density, seed):
+        rng = np.random.default_rng(seed)
+        m = min(m, n)
+        if ties:
+            w = rng.choice([-1.0, -0.0, 0.0, 1.0, 2.0], size=(n, p))
+        else:
+            w = rng.standard_t(df=3, size=(n, p))
+        # Random entries of both triangles and the diagonal; density 0 masks none.
+        mask = rng.random((p, p)) < density
+        med_mean, med_second = _median_moments(w, m, mask)
+        got = med_second - np.outer(med_mean, med_mean)[mask]
+        full = mom_covariance(w, m) if m > 1 else sample_covariance(w)
+        _assert_bitwise_equal(got, full[mask])
 
 
 class TestExactSymmetry:

@@ -1,5 +1,7 @@
 """Tests for bootstrap edge-stability analysis."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 from rcec import (
     CompositionMatrix,
     EstimatorConfig,
+    ThresholdRule,
     bootstrap_stability,
     clr_transform,
     estimate,
@@ -26,6 +29,10 @@ from rcec.tuning import _subset_covariance
 def case1_composition(n=80, p=12, seed=5):
     y = sample_case(get_case(1), n, p, seed)
     return basis_to_composition(y)
+
+
+def independent_composition(n=80, p=12, seed=0):
+    return basis_to_composition(np.random.default_rng(seed).normal(size=(n, p)))
 
 
 FAST = EstimatorConfig(grid_size=12, seed=0)
@@ -312,8 +319,25 @@ class TestBootstrapStability:
         [None, lambda rng, n: np.sort(rng.choice(n, n - 10))],
         ids=["default", "custom"],
     )
-    def test_matches_per_replicate_clr_loop(self, monkeypatch, reuse_lambda, index_sampler):
-        x = case1_composition()
+    @pytest.mark.parametrize(
+        "x, config, has_edges",
+        [
+            (case1_composition(), FAST, True),
+            (case1_composition(), replace(FAST, estimator="coat"), True),
+            (case1_composition(), replace(FAST, rule=ThresholdRule.scad(3.7)), True),
+            (
+                case1_composition(),
+                replace(FAST, rule=ThresholdRule.adaptive_lasso(2.0), threshold_diagonal=True),
+                True,
+            ),
+            # Independent components: the sparse end of a two-value grid wins.
+            (independent_composition(), EstimatorConfig(grid_size=2, seed=0), False),
+        ],
+        ids=["rcec-soft", "coat", "scad", "alasso-diagonal", "no-edges"],
+    )
+    def test_matches_per_replicate_clr_loop(
+        self, monkeypatch, reuse_lambda, index_sampler, x, config, has_edges
+    ):
         opts = dict(reuse_lambda=reuse_lambda, index_sampler=index_sampler)
         parallel_map = stability.ordered_map
         captured = []
@@ -324,13 +348,30 @@ class TestBootstrapStability:
             return out
 
         monkeypatch.setattr(stability, "ordered_map", recording_map)
-        result = bootstrap_stability(x, FAST, replicates=4, seed=8, **opts)
-        fit, values = loop_replicate_values(x, FAST, 4, 8, **opts)
-        assert len(result.baseline) > 0
+        result = bootstrap_stability(x, config, replicates=4, seed=8, **opts)
+        fit, values = loop_replicate_values(x, config, 4, 8, **opts)
+        assert (len(result.baseline) > 0) == has_edges
         np.testing.assert_array_equal(result.baseline_omega, fit.omega)
         assert result.lambda_star == fit.lambda_star
         np.testing.assert_array_equal(captured[0], values)
         assert np.array_equal(np.signbit(captured[0]), np.signbit(values))
+
+    def test_reuse_replicates_form_only_the_entries_they_read(self, monkeypatch):
+        # Each replicate's covariance kernel sees the baseline edges and the
+        # diagonal, not the p(p + 1)/2 entries of a full triangle.
+        sizes = []
+        kernel = stability._median_moments
+
+        def recording_kernel(arr, block_count, mask):
+            sizes.append(int(np.count_nonzero(mask)))
+            return kernel(arr, block_count, mask)
+
+        monkeypatch.setattr(stability, "_median_moments", recording_kernel)
+        monkeypatch.setenv("RCEC_THREADS", "1")  # replicates run in this process
+        x = case1_composition()
+        result = bootstrap_stability(x, FAST, replicates=3, seed=2, reuse_lambda=True)
+        assert 0 < len(result.baseline) < x.p * (x.p - 1) // 2
+        assert sizes == [len(result.baseline) + x.p] * 3
 
     @pytest.mark.parametrize("reuse_lambda", [False, True])
     def test_clr_runs_once_per_call(self, monkeypatch, reuse_lambda):

@@ -443,6 +443,19 @@ class TestPdDecision:
         omega = _diagonally_dominant(p, margin, spread, seed)
         assert _is_pd(omega) == (min_eigenvalue(omega) > PD_TOL)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_nan_entries_do_not_qualify(self):
+        # Cholesky factors a NaN matrix into NaN without raising, and
+        # min_eigenvalue refuses the matrix as non-finite.
+        assert not _is_pd(np.full((2, 2), np.nan))
+        # The large pair's entry scale overflows, so under soft thresholding
+        # its lam = 0 estimate holds NaN; only the larger values qualify.
+        gamma = np.array([[1e200, 0.5e200, 0.0], [0.5e200, 2e200, 0.1], [0.0, 0.1, 1.0]])
+        restricted, notes = pd_floor_scan(gamma, np.array([0.0, 0.5, 1.0]), 50, EstimatorConfig())
+        np.testing.assert_array_equal(restricted, [0.5, 1.0])
+        assert notes == []
+
     def test_diagonally_dominant_needs_no_factorization(self, monkeypatch):
         calls = []
         cholesky = np.linalg.cholesky
