@@ -12,7 +12,9 @@ all or, on failure, none of them, and prints the ``wrote`` line.  All
 outputs are plain CSV, markdown or JSON without timestamps; rerunning a
 command with identical arguments reproduces identical bytes.  The
 ``RCEC_THREADS`` environment variable caps the worker processes of the
-batch commands.
+batch commands and the threads of one median-of-means covariance; the bytes
+do not depend on it.  ``estimate``, ``benchmark`` and ``stability`` check it
+before any work runs.
 """
 
 from __future__ import annotations
@@ -223,6 +225,7 @@ def _load_composition(args) -> tuple:
 # subcommands
 
 def cmd_estimate(args) -> dict:
+    _usage_check(worker_count, 1)  # a bad RCEC_THREADS fails before any work runs
     taxa, x = _load_composition(args)
     config = build_config(args)
     result = estimate(x, config)

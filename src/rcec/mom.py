@@ -28,6 +28,14 @@ and the sort needs no second buffer.  The median is then the mean of the
 middle one or two sorted values, which is how ``np.median`` computes it, so
 the result is bitwise equal to ``np.median`` over the block axis.
 
+Both phases, forming the block moments and sorting the buffer, split over
+threads through :func:`rcec.parallel.split_work`, which ``RCEC_THREADS``
+caps.  The blocks alternate between the threads, and each thread forms its
+products in its own p x p buffer and gathers them into its own rows of the
+block-major buffer; the sort runs on disjoint column ranges.  Every value
+comes from the same numpy call however the work is split, so the bits do
+not depend on the thread count.
+
 Both estimators are bitwise symmetric with no symmetrizing pass:
 ``block.T @ block`` runs as a BLAS rank-k update that computes one triangle
 and mirrors it (numpy's own loop sums (i, j) and (j, i) in the same order),
@@ -42,6 +50,7 @@ import math
 import numpy as np
 
 from .compdata import _as_matrix, _check_count
+from .parallel import split_work
 
 
 def _check_L(L) -> float:
@@ -71,11 +80,22 @@ def default_block_count(p: int, L: float = 1.0, n_cap: int | None = None) -> int
     return m
 
 
-def _block_moments(block: np.ndarray):
-    # Shared by the sample and MOM paths so that MOM with one block is
-    # bitwise identical to the sample covariance.  The second moment is
-    # left undivided: each caller divides the entries it keeps.
-    return block.mean(axis=0), block.T @ block
+def _block_product(block: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``block.T @ block`` written to ``out``, bit for bit.
+
+    Shared by the sample and MOM paths, so that MOM with one block is
+    bitwise the sample covariance.  The product is left undivided: each
+    caller divides the entries it keeps.
+    """
+    if block.shape[0] == 1:
+        # numpy's matmul is slow at k = 1.  einsum, like the matmul, sums
+        # the products onto a zeroed output, so a -0.0 product reads +0.0
+        # in both; and it allocates none of the iteration buffers (about
+        # 130 kB) of a broadcast np.multiply.
+        np.einsum("i,j->ij", block[0], block[0], out=out)
+    else:
+        np.matmul(block.T, block, out=out)
+    return out
 
 
 def _median_moments(arr: np.ndarray, block_count: int, mask: np.ndarray):
@@ -86,13 +106,30 @@ def _median_moments(arr: np.ndarray, block_count: int, mask: np.ndarray):
     block means and the median of the block second moments at the masked
     entries, in row-major order.
     """
-    means = np.empty((block_count, arr.shape[1]))
-    seconds = np.empty((block_count, np.count_nonzero(mask)))
-    for l, block in enumerate(np.array_split(arr, block_count)):
-        means[l], second = _block_moments(block)
-        seconds[l] = second[mask]
-        seconds[l] /= block.shape[0]
-    seconds.sort(axis=0)
+    p = arr.shape[1]
+    blocks = np.array_split(arr, block_count)
+    index = np.flatnonzero(mask)
+    means = np.empty((block_count, p))
+    seconds = np.empty((block_count, index.size))
+
+    def block_phase(threads):
+        products = np.empty((threads, p, p))
+
+        def part(k):
+            for l in range(k, block_count, threads):
+                block = blocks[l]
+                block.mean(axis=0, out=means[l])
+                _block_product(block, products[k]).take(index, out=seconds[l], mode="clip")
+                seconds[l] /= block.shape[0]
+
+        return part
+
+    def sort_phase(threads):
+        edges = [k * index.size // threads for k in range(threads + 1)]
+        return lambda k: seconds[:, edges[k] : edges[k + 1]].sort(axis=0)
+
+    split_work(block_phase, block_count, seconds.size, blas=True)
+    split_work(sort_phase, index.size, seconds.size)
     middle = seconds[(block_count - 1) // 2 : block_count // 2 + 1].mean(axis=0)
     return np.median(means, axis=0), middle
 
@@ -100,8 +137,9 @@ def _median_moments(arr: np.ndarray, block_count: int, mask: np.ndarray):
 def sample_covariance(W) -> np.ndarray:
     """Sample covariance with divisor n (not n - 1)."""
     arr = _as_matrix(W, "data matrix", min_rows=2)
-    mean, second = _block_moments(arr)
-    second /= arr.shape[0]
+    n, p = arr.shape
+    mean, second = arr.mean(axis=0), _block_product(arr, np.empty((p, p)))
+    second /= n
     return second - np.outer(mean, mean)
 
 

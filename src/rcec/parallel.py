@@ -8,24 +8,43 @@ receive only task indices, so closures and large inputs are never pickled.
 Only results and exceptions travel back, and an exception keeps its type.
 
 The map runs serially in the calling process where the ``fork`` start method
-does not exist, and when another map is already running: a map nested inside
-a task, or one started by a second thread.  The BLAS pool is pinned to one
-thread inside these regions when ``threadpoolctl`` imports: multithreaded
-kernels may reorder reductions.  The ``RCEC_THREADS`` environment variable is
-the one cap on the number of worker processes.
+does not exist, and when another map or a split is already running: a map
+nested inside a task, or one started by a second thread.  The BLAS pool is
+pinned to one thread inside these regions when ``threadpoolctl`` imports:
+multithreaded kernels may reorder reductions.
+
+One large array computation, such as a median-of-means kernel, splits over
+threads with :func:`split_work`: numpy releases the interpreter lock in its
+sorts, matrix products and gathers.  Each thread writes its own part of the
+output, so the bits do not depend on the split.  A split runs on the calling
+thread below a size gate, inside a forked worker, and while a map or another
+split runs.  While a split that calls BLAS runs, numpy's bundled OpenBLAS is
+pinned to one thread through ``ctypes``, so that the threads do not compete
+with BLAS's own; where that library is not found, such a split runs on the
+calling thread.  The ``RCEC_THREADS`` environment variable is the one cap on
+the number of worker processes and of split threads.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import contextlib
+import contextvars
+import functools
 import os
 import threading
 
 THREADS_ENV = "RCEC_THREADS"
 
-# Held while a map's pool runs.  A forked worker inherits it held, so a map
-# nested inside a task runs serially.
+# The least share of the work (for the median-of-means kernel, entries of
+# its block buffer) that each split thread gets.  On 2 cores, two threads
+# against one made a median-of-means call slower at 108,900 buffer entries
+# (p = 120: 1.12 -> 1.43 ms), broke even near 150,000 and made it faster from
+# 206,080 (p = 160: 2.68 -> 2.51 ms; p = 400: 15.8 -> 10.4 ms).
+_SPLIT_MIN = 75_000
+
+# Held while a map's pool or a split's threads run.  A forked worker inherits
+# it held, so a map or a split inside a task runs serially.
 _busy = threading.Lock()
 # (fn, items) of the running map, read by the workers that fork from it.
 _job = None
@@ -104,3 +123,90 @@ def ordered_map(fn, items, workers: int | None = None) -> list:
         finally:
             _job = None
             _busy.release()
+
+
+@functools.cache
+def _openblas():
+    """``(get, set)`` for the thread count of numpy's bundled OpenBLAS, or None.
+
+    Found once, on first use, in the ``numpy.libs`` directory that numpy's
+    wheels ship; loading the library again returns the copy numpy uses.
+    """
+    import ctypes
+    import glob
+
+    import numpy
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):  # not loadable, or another OpenBLAS build
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread(get, set_):
+    old = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(old)
+
+
+def split_work(plan, parts: int, size: int, blas: bool = False) -> None:
+    """Run one computation split over threads, each writing its own outputs.
+
+    ``plan(threads)`` runs on the calling thread and returns ``part``; it
+    allocates what the threads need there, so peak memory does not depend on
+    thread timing.  ``part(k)`` then runs once for each ``k`` in
+    ``range(threads)``, ``k = 0`` on the calling thread.  ``threads`` is 1
+    when ``size // _SPLIT_MIN`` is below 2, inside a forked worker, and while
+    a map or another split runs; otherwise it is :func:`worker_count` of
+    ``parts`` and that share.  With ``blas`` the parts call BLAS: they run on
+    the calling thread unless numpy's bundled OpenBLAS is found, and it is
+    pinned to one thread while they run.  An exception that a part raises
+    reaches the caller with its type, after every thread has joined; part 0's
+    comes first, then the others' in part order.
+    """
+    # max(1, ...): worker_count checks RCEC_THREADS only for a positive count.
+    threads = worker_count(max(1, min(parts, size // _SPLIT_MIN)))
+    pin = _openblas() if blas and threads > 1 else None
+    if threads == 1 or (blas and pin is None) or not _busy.acquire(blocking=False):
+        plan(1)(0)
+        return
+    try:
+        part = plan(threads)
+        errors = [None] * threads
+
+        def guarded(k, context):
+            # numpy's error state lives in a context variable, which a new
+            # thread would otherwise read at its default.
+            try:
+                context.run(part, k)
+            except BaseException as error:  # raised again in the caller below
+                errors[k] = error
+
+        helpers = []
+        with _one_blas_thread(*pin) if blas else contextlib.nullcontext():
+            try:
+                for k in range(1, threads):
+                    helper = threading.Thread(target=guarded, args=(k, contextvars.copy_context()))
+                    helper.start()
+                    helpers.append(helper)
+                part(0)
+            finally:
+                for helper in helpers:
+                    helper.join()
+        for error in errors:
+            if error is not None:
+                raise error
+    finally:
+        _busy.release()

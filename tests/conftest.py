@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import threading
 from pathlib import Path
 
 import pytest
@@ -20,13 +21,17 @@ settings.load_profile("default")
 
 @pytest.fixture(autouse=True)
 def no_process_left_running():
-    """Fail a test that leaves a multiprocessing child running, then end it."""
+    """Fail a test that leaves a multiprocessing child running, then end it,
+    or that leaves a non-daemon thread alive."""
+    before = set(threading.enumerate())
     yield
     left = multiprocessing.active_children()
     for child in left:
         child.terminate()
         child.join(10)
     assert not left, f"processes left running after the test: {left}"
+    threads = [t for t in threading.enumerate() if t not in before and not t.daemon]
+    assert not threads, f"threads left running after the test: {threads}"
 
 
 # The package under test, as this process imported it.  CLI subprocesses

@@ -601,13 +601,14 @@ class TestExitCodes:
         "value, message",
         [("0", "must be >= 1, got 0"), ("-3", "must be >= 1, got -3"), ("x", "must be an integer, got 'x'")],
     )
-    @pytest.mark.parametrize("command", ["benchmark", "stability"])
+    @pytest.mark.parametrize("command", ["estimate", "benchmark", "stability"])
     def test_bad_thread_cap_is_a_usage_error_before_any_fit(
         self, samples_csv, tmp_path, capsys, monkeypatch, command, value, message
     ):
         def no_fit(*args, **kwargs):
             raise AssertionError("the command ran a fit")
 
+        monkeypatch.setattr(cli, "estimate", no_fit)
         monkeypatch.setattr(cli, "run_benchmark", no_fit)
         monkeypatch.setattr(cli, "bootstrap_stability", no_fit)
         monkeypatch.setenv("RCEC_THREADS", value)

@@ -1,5 +1,7 @@
 """Median-of-means covariance, its block partition, and the sample covariance."""
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -7,8 +9,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from rcec import default_block_count, mom_covariance, sample_covariance
-from rcec.mom import _median_moments
+from rcec import default_block_count, mom, mom_covariance, parallel, sample_covariance
+from rcec.mom import _block_product, _median_moments
 
 
 def _mom_reference(w, sizes):
@@ -241,6 +243,96 @@ class TestMedianMoments:
         got = med_second - np.outer(med_mean, med_mean)[mask]
         full = mom_covariance(w, m) if m > 1 else sample_covariance(w)
         _assert_bitwise_equal(got, full[mask])
+
+
+class TestThreadSplit:
+    """The kernel's bits do not depend on how many threads share its work."""
+
+    # (n, m): odd and even block counts; blocks of 1, 2 and >= 3 rows, alone
+    # and mixed.
+    SHAPES = [(5, 5), (6, 6), (7, 6), (10, 5), (12, 6), (16, 5), (19, 6), (40, 7), (9, 1)]
+
+    def _run(self, monkeypatch, threads, w, m, mask):
+        monkeypatch.setenv("RCEC_THREADS", threads)
+        seen = set()
+
+        def recording_product(block, out):
+            seen.add(threading.get_ident())
+            return _block_product(block, out)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(mom, "_block_product", recording_product)
+            results = (mom_covariance(w, m), *_median_moments(w, m, mask))
+        # Whether a block product ran off the calling thread.
+        return results, bool(seen - {threading.get_ident()})
+
+    @pytest.mark.parametrize("n, m", SHAPES)
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_same_bits_under_one_and_two_threads(self, monkeypatch, n, m, ties):
+        monkeypatch.setattr(parallel, "_SPLIT_MIN", 1)
+        rng = np.random.default_rng(n * 100 + m)
+        p = 13
+        if ties:
+            w = rng.choice([-1.0, -0.0, 0.0, 1.0, 2.0], size=(n, p))
+        else:
+            w = rng.standard_t(df=3, size=(n, p))
+        for mask in (np.triu(np.ones((p, p), dtype=bool)), rng.random((p, p)) < 0.2):
+            one, one_split = self._run(monkeypatch, "1", w, m, mask)
+            two, two_split = self._run(monkeypatch, "2", w, m, mask)
+            assert not one_split
+            if m > 1 and parallel._openblas() is not None:
+                assert two_split
+            for got, want in zip(two, one):
+                _assert_bitwise_equal(got, want)
+
+    def test_more_threads_than_cores_under_fast_switching(self, monkeypatch):
+        # Threads writing next to each other in the shared buffers: a lost
+        # or misplaced write would change the bits.
+        monkeypatch.setattr(parallel, "_SPLIT_MIN", 1)
+        w = np.random.default_rng(4).standard_t(df=3, size=(23, 31))
+        mask = np.random.default_rng(5).random((31, 31)) < 0.5
+        want, _ = self._run(monkeypatch, "1", w, 11, mask)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                got, _ = self._run(monkeypatch, "5", w, 11, mask)
+                for g, x in zip(got, want):
+                    _assert_bitwise_equal(g, x)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_block_phase_stays_inline_without_the_blas_pin(self, monkeypatch):
+        monkeypatch.setattr(parallel, "_SPLIT_MIN", 1)
+        w = np.random.default_rng(3).standard_t(df=3, size=(19, 13))
+        mask = np.triu(np.ones((13, 13), dtype=bool))
+        pinned, _ = self._run(monkeypatch, "2", w, 6, mask)
+        monkeypatch.setattr(parallel, "_openblas", lambda: None)
+        unpinned, split = self._run(monkeypatch, "2", w, 6, mask)
+        assert not split
+        for got, want in zip(unpinned, pinned):
+            _assert_bitwise_equal(got, want)
+
+
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e-300, -1e-300,
+                1e-160, 1e160, 1e300, -1e300, 1.7976931348623157e308]
+
+
+class TestBlockProduct:
+    @given(
+        row=st.lists(
+            st.sampled_from(_EDGE_VALUES) | st.floats(allow_nan=False, allow_infinity=False),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    @example(row=[-0.0, 1.0, -1.0, 0.0])
+    def test_single_row_product_equals_matmul_bitwise(self, row):
+        block = np.array([row])
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            want = block.T @ block
+            got = _block_product(block, np.empty_like(want))
+        assert got.tobytes() == want.tobytes()
 
 
 class TestExactSymmetry:

@@ -4,14 +4,16 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 from conftest import cli_env
 
-from rcec import bench
-from rcec.cli import EXIT_DATA, EXIT_NUMERIC, main
-from rcec.parallel import THREADS_ENV, ordered_map, single_threaded_blas, worker_count
+from rcec import bench, parallel, simgen
+from rcec.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
+from rcec.parallel import THREADS_ENV, ordered_map, single_threaded_blas, split_work, worker_count
 
 
 class TestWorkerCount:
@@ -188,3 +190,136 @@ def test_broken_worker_raises_instead_of_hanging(task):
 def test_single_threaded_blas_is_a_context_manager():
     with single_threaded_blas():
         pass
+
+
+def _recording_plan(log, body=None):
+    # A plan whose parts record the thread they run on, then run ``body``.
+    def plan(threads):
+        log.append(("plan", threads, threading.get_ident()))
+
+        def part(k):
+            log.append((k, threading.get_ident()))
+            if body is not None:
+                body(k)
+
+        return part
+
+    return plan
+
+
+BIG = 10 * parallel._SPLIT_MIN
+
+
+class TestSplitWork:
+    def test_splits_over_the_capped_thread_count(self, monkeypatch):
+        monkeypatch.setenv(THREADS_ENV, "2")
+        log = []
+        split_work(_recording_plan(log), 8, BIG)
+        me = threading.get_ident()
+        assert log[0] == ("plan", 2, me)
+        threads = dict(log[1:])
+        assert threads.keys() == {0, 1}
+        assert threads[0] == me != threads[1]
+
+    @pytest.mark.parametrize("size", [0, BIG])
+    def test_bad_cap_fails_at_any_size(self, monkeypatch, size):
+        monkeypatch.setenv(THREADS_ENV, "0")
+        with pytest.raises(ValueError, match=">= 1"):
+            split_work(_recording_plan([]), 2, size)
+
+    def test_parts_cap_the_thread_count(self, monkeypatch):
+        monkeypatch.setenv(THREADS_ENV, "4")
+        log = []
+        split_work(_recording_plan(log), 3, BIG)
+        assert log[0][1] == 3
+
+    @pytest.mark.parametrize("case", ["one thread", "busy", "below the gate"])
+    def test_runs_on_the_calling_thread(self, monkeypatch, case):
+        monkeypatch.setenv(THREADS_ENV, "1" if case == "one thread" else "2")
+        size = 2 * parallel._SPLIT_MIN - 1 if case == "below the gate" else BIG
+        log = []
+        if case == "busy":
+            with parallel._busy:  # held inside a forked worker or a running map
+                split_work(_recording_plan(log), 8, size, blas=True)
+        else:
+            split_work(_recording_plan(log), 8, size, blas=True)
+        me = threading.get_ident()
+        assert log == [("plan", 1, me), (0, me)]
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_part_error_reaches_the_caller_after_every_thread_joined(self, monkeypatch, failing):
+        monkeypatch.setenv(THREADS_ENV, "2")
+        finished = []
+
+        def body(k):
+            if k == failing:
+                raise KeyError(f"part {k}")
+            time.sleep(0.05)
+            finished.append(k)
+
+        before = threading.active_count()
+        with pytest.raises(KeyError, match=f"part {failing}"):
+            split_work(_recording_plan([], body), 2, BIG)
+        assert finished == [1 - failing]
+        assert threading.active_count() == before
+        assert not parallel._busy.locked()
+
+    @pytest.mark.skipif(parallel._openblas() is None, reason="numpy's bundled OpenBLAS not found")
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_blas_is_pinned_only_while_the_threads_run(self, monkeypatch, fail):
+        monkeypatch.setenv(THREADS_ENV, "2")
+        get, _ = parallel._openblas()
+        before = get()
+        seen = []
+
+        def body(k):
+            seen.append(get())
+            if fail:
+                raise RuntimeError("part failed")
+
+        if fail:
+            with pytest.raises(RuntimeError):
+                split_work(_recording_plan([], body), 2, BIG, blas=True)
+        else:
+            split_work(_recording_plan([], body), 2, BIG, blas=True)
+        assert seen == [1, 1]
+        assert get() == before
+
+    def test_blas_work_stays_inline_without_the_pin(self, monkeypatch):
+        monkeypatch.setenv(THREADS_ENV, "2")
+        monkeypatch.setattr(parallel, "_openblas", lambda: None)
+        log = []
+        split_work(_recording_plan(log), 2, BIG, blas=True)
+        assert log == [("plan", 1, threading.get_ident()), (0, threading.get_ident())]
+        log = []
+        split_work(_recording_plan(log), 2, BIG)  # work without BLAS still splits
+        assert log[0][1] == 2
+
+
+@pytest.mark.parametrize("blas_threads", ["1", None], ids=["OPENBLAS_NUM_THREADS=1", "unset"])
+def test_estimate_bytes_do_not_depend_on_the_thread_cap(tmp_path, blas_threads):
+    """``rcec estimate`` at p = 400 splits its median-of-means calls under
+    ``RCEC_THREADS=2`` and runs them inline under ``=1``; within one BLAS
+    setting the output bytes are the same."""
+    x = simgen.basis_to_composition(simgen.sample_case(2, 100, 400, seed=5)).values
+    rng = np.random.default_rng(5)
+    counts = rng.poisson(x * rng.uniform(15000, 35000, size=(100, 1)))
+    header = ",".join(f"t{j}" for j in range(400))
+    np.savetxt(tmp_path / "counts.csv", counts, fmt="%d", delimiter=",", header=header, comments="")
+    outputs = []
+    for threads in ("1", "2"):
+        env = cli_env({"RCEC_THREADS": threads})
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if blas_threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = blas_threads
+        out = tmp_path / f"out{threads}"
+        done = subprocess.run(
+            [sys.executable, "-m", "rcec", "estimate", "counts.csv", "--counts", "--out", str(out)],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            timeout=120,
+        )
+        assert done.returncode == EXIT_OK, done.stderr
+        outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert outputs[0] == outputs[1]
