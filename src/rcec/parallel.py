@@ -9,20 +9,21 @@ Only results and exceptions travel back, and an exception keeps its type.
 
 The map runs serially in the calling process where the ``fork`` start method
 does not exist, and when another map or a split is already running: a map
-nested inside a task, or one started by a second thread.  The BLAS pool is
-pinned to one thread inside these regions when ``threadpoolctl`` imports:
-multithreaded kernels may reorder reductions.
+nested inside a task, or one started by a second thread.
 
 One large array computation, such as a median-of-means kernel, splits over
 threads with :func:`split_work`: numpy releases the interpreter lock in its
 sorts, matrix products and gathers.  Each thread writes its own part of the
 output, so the bits do not depend on the split.  A split runs on the calling
 thread below a size gate, inside a forked worker, and while a map or another
-split runs.  While a split that calls BLAS runs, numpy's bundled OpenBLAS is
-pinned to one thread through ``ctypes``, so that the threads do not compete
-with BLAS's own; where that library is not found, such a split runs on the
-calling thread.  The ``RCEC_THREADS`` environment variable is the one cap on
-the number of worker processes and of split threads.
+split runs.  The ``RCEC_THREADS`` environment variable is the one cap on the
+number of worker processes and of split threads.
+
+:func:`one_blas_thread` pins numpy's bundled OpenBLAS to one thread through
+``ctypes``, since multithreaded kernels may reorder reductions.  Every CLI
+command, every map (its forked workers inherit the count) and every split
+that calls BLAS runs inside it; where that library is not found, it does
+nothing, and such a split runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -69,15 +70,6 @@ def worker_count(n_tasks: int, requested: int | None = None) -> int:
     return max(1, min(limit, n_tasks))
 
 
-def single_threaded_blas():
-    """Context manager pinning BLAS pools to one thread (no-op fallback)."""
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:  # threadpoolctl is optional; BLAS then keeps its own thread count
-        return contextlib.nullcontext()
-    return threadpool_limits(limits=1, user_api="blas")
-
-
 def _fork_context():
     # Imported on first use, so commands that never fan out (estimate,
     # simulate) do not load multiprocessing: about 1 MB of peak memory.
@@ -97,8 +89,8 @@ def _run(index: int):
 def ordered_map(fn, items, workers: int | None = None) -> list:
     """Map ``fn`` over ``items`` with results in input order.
 
-    Runs inside a single-threaded-BLAS region regardless of the worker
-    count, so results are identical whether the map is serial or forked.
+    Runs inside :func:`one_blas_thread` whatever the worker count, so
+    results are identical whether the map is serial or forked.
     The first task exception is raised in the caller with its type, and
     the tasks not yet started are cancelled.  A worker that dies, or an
     exception that cannot be unpickled, raises ``BrokenProcessPool``.
@@ -106,7 +98,7 @@ def ordered_map(fn, items, workers: int | None = None) -> list:
     global _job
     items = list(items)
     n = worker_count(len(items), workers)
-    with single_threaded_blas():
+    with one_blas_thread():
         context = _fork_context() if n > 1 else None
         if context is None or not _busy.acquire(blocking=False):
             return [fn(item) for item in items]
@@ -152,7 +144,14 @@ def _openblas():
 
 
 @contextlib.contextmanager
-def _one_blas_thread(get, set_):
+def one_blas_thread():
+    """Pin numpy's bundled OpenBLAS to one thread, and restore its count on
+    exit, also on error; do nothing where that library is not found."""
+    pin = _openblas()
+    if pin is None:
+        yield
+        return
+    get, set_ = pin
     old = get()
     set_(1)
     try:
@@ -178,8 +177,7 @@ def split_work(plan, parts: int, size: int, blas: bool = False) -> None:
     """
     # max(1, ...): worker_count checks RCEC_THREADS only for a positive count.
     threads = worker_count(max(1, min(parts, size // _SPLIT_MIN)))
-    pin = _openblas() if blas and threads > 1 else None
-    if threads == 1 or (blas and pin is None) or not _busy.acquire(blocking=False):
+    if threads == 1 or (blas and _openblas() is None) or not _busy.acquire(blocking=False):
         plan(1)(0)
         return
     try:
@@ -195,7 +193,7 @@ def split_work(plan, parts: int, size: int, blas: bool = False) -> None:
                 errors[k] = error
 
         helpers = []
-        with _one_blas_thread(*pin) if blas else contextlib.nullcontext():
+        with one_blas_thread() if blas else contextlib.nullcontext():
             try:
                 for k in range(1, threads):
                     helper = threading.Thread(target=guarded, args=(k, contextvars.copy_context()))

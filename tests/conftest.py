@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import rcec
+from rcec import parallel
 
 settings.register_profile(
     "default",
@@ -20,10 +21,14 @@ settings.load_profile("default")
 
 
 @pytest.fixture(autouse=True)
-def no_process_left_running():
+def nothing_left_behind():
     """Fail a test that leaves a multiprocessing child running, then end it,
-    or that leaves a non-daemon thread alive."""
+    that leaves a non-daemon thread alive, or that leaves numpy's OpenBLAS
+    thread count changed, then set it back.  Tests call ``main`` in-process,
+    so a pin that is not undone would reach every later test."""
     before = set(threading.enumerate())
+    pin = parallel._openblas()
+    blas_threads = pin and pin[0]()
     yield
     left = multiprocessing.active_children()
     for child in left:
@@ -32,6 +37,9 @@ def no_process_left_running():
     assert not left, f"processes left running after the test: {left}"
     threads = [t for t in threading.enumerate() if t not in before and not t.daemon]
     assert not threads, f"threads left running after the test: {threads}"
+    if pin is not None and (changed := pin[0]()) != blas_threads:
+        pin[1](blas_threads)
+        pytest.fail(f"OpenBLAS thread count left at {changed}, was {blas_threads}")
 
 
 # The package under test, as this process imported it.  CLI subprocesses

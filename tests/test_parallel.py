@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 from conftest import cli_env
 
-from rcec import bench, parallel, simgen
-from rcec.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
-from rcec.parallel import THREADS_ENV, ordered_map, single_threaded_blas, split_work, worker_count
+from rcec import bench, cli, parallel, simgen
+from rcec.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from rcec.parallel import THREADS_ENV, ordered_map, split_work, worker_count
 
 
 class TestWorkerCount:
@@ -187,11 +187,6 @@ def test_broken_worker_raises_instead_of_hanging(task):
     assert done.stdout == "BrokenProcessPool\n0\n"
 
 
-def test_single_threaded_blas_is_a_context_manager():
-    with single_threaded_blas():
-        pass
-
-
 def _recording_plan(log, body=None):
     # A plan whose parts record the thread they run on, then run ``body``.
     def plan(threads):
@@ -296,30 +291,120 @@ class TestSplitWork:
         assert log[0][1] == 2
 
 
-@pytest.mark.parametrize("blas_threads", ["1", None], ids=["OPENBLAS_NUM_THREADS=1", "unset"])
-def test_estimate_bytes_do_not_depend_on_the_thread_cap(tmp_path, blas_threads):
-    """``rcec estimate`` at p = 400 splits its median-of-means calls under
-    ``RCEC_THREADS=2`` and runs them inline under ``=1``; within one BLAS
-    setting the output bytes are the same."""
+@pytest.fixture
+def blas_count():
+    """``get`` of numpy's OpenBLAS thread count, with the count set to 2 for
+    the test so that a pin to one thread shows."""
+    if parallel._openblas() is None:
+        pytest.skip("numpy's bundled OpenBLAS not found")
+    get, set_ = parallel._openblas()
+    old = get()
+    set_(2)
+    yield get
+    set_(old)
+
+
+def with_blas_count(v):
+    return parallel._openblas()[0](), os.getpid()
+
+
+def gram(seed):
+    # Large enough that OpenBLAS splits the product over its threads.
+    w = np.random.default_rng(seed).standard_normal((300, 300))
+    return (w.T @ w).tobytes()
+
+
+class TestBlasPin:
+    @pytest.mark.parametrize("path", ["one thread", "no fork", "forked"])
+    def test_map_tasks_run_on_one_blas_thread(self, monkeypatch, blas_count, path):
+        monkeypatch.setenv(THREADS_ENV, "1" if path == "one thread" else "2")
+        if path == "no fork":
+            monkeypatch.setattr(parallel, "_fork_context", lambda: None)
+        results = ordered_map(with_blas_count, range(4))
+        assert [count for count, _ in results] == [1] * 4
+        assert (os.getpid() in {pid for _, pid in results}) == (path != "forked")
+        assert blas_count() == 2
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_map_restores_the_count_when_a_task_raises(self, monkeypatch, blas_count, threads):
+        monkeypatch.setenv(THREADS_ENV, threads)
+
+        def fail(v):
+            raise KeyError(f"task {v}")
+
+        with pytest.raises(KeyError):
+            ordered_map(fail, range(4))
+        assert blas_count() == 2
+
+    @pytest.mark.parametrize("table, code", [("counts", EXIT_OK), (None, EXIT_USAGE), ("negative", EXIT_DATA)])
+    def test_main_pins_the_command_and_restores_the_count(self, tmp_path, monkeypatch, blas_count, table, code):
+        seen = []
+        run = cli.cmd_estimate
+
+        def cmd_estimate(args):
+            seen.append(blas_count())
+            return run(args)
+
+        monkeypatch.setattr(cli, "cmd_estimate", cmd_estimate)
+        counts = np.random.default_rng(0).integers(1, 50, size=(30, 6))
+        if table == "negative":
+            counts[3, 2] = -1
+        if table is not None:
+            np.savetxt(tmp_path / "in.csv", counts, fmt="%d", delimiter=",", header="a,b,c,d,e,f", comments="")
+        argv = ["estimate", str(tmp_path / "in.csv"), "--counts", "--grid-size", "5", "--out", str(tmp_path / "o")]
+        assert main(argv) == code
+        assert seen == [1]
+        assert blas_count() == 2
+
+    def test_without_the_library_main_and_map_give_the_same_bytes(self, tmp_path, monkeypatch):
+        argv = ["simulate", "--case", "2", "--n", "100", "--p", "200", "--seed", "1", "--out"]
+        assert main(argv + [str(tmp_path / "pinned.csv")]) == EXIT_OK
+        mapped = ordered_map(gram, range(3), workers=2)
+        # One BLAS thread set by hand, as the README asks of other BLAS builds.
+        with parallel.one_blas_thread():
+            monkeypatch.setattr(parallel, "_openblas", lambda: None)
+            assert main(argv + [str(tmp_path / "unpinned.csv")]) == EXIT_OK
+            assert ordered_map(gram, range(3), workers=2) == mapped
+        assert (tmp_path / "unpinned.csv").read_bytes() == (tmp_path / "pinned.csv").read_bytes()
+
+
+GATE_COMMANDS = {
+    "simulate": ["simulate", "--case", "2", "--n", "100", "--p", "200", "--seed", "1", "--out", "OUT/samples.csv"],
+    "estimate": ["estimate", "counts.csv", "--counts", "--out", "OUT"],
+    "stability": ["stability", "samples.csv", "-B", "4", "--retain", "2", "--reuse-lambda",
+                  "--out", "OUT/stability.json"],
+}
+
+
+def test_output_bytes_do_not_depend_on_the_thread_counts(tmp_path):
+    """``simulate`` at p = 200, ``estimate`` on a p = 400 counts table and
+    ``stability --reuse-lambda`` at p = 200 each write the same bytes under
+    every pair of ``OPENBLAS_NUM_THREADS`` and ``RCEC_THREADS`` in {1, 2}.
+
+    On a 1-core host OpenBLAS runs one thread whatever
+    ``OPENBLAS_NUM_THREADS`` says, so there this test cannot fail."""
     x = simgen.basis_to_composition(simgen.sample_case(2, 100, 400, seed=5)).values
     rng = np.random.default_rng(5)
     counts = rng.poisson(x * rng.uniform(15000, 35000, size=(100, 1)))
     header = ",".join(f"t{j}" for j in range(400))
     np.savetxt(tmp_path / "counts.csv", counts, fmt="%d", delimiter=",", header=header, comments="")
-    outputs = []
-    for threads in ("1", "2"):
-        env = cli_env({"RCEC_THREADS": threads})
-        env.pop("OPENBLAS_NUM_THREADS", None)
-        if blas_threads is not None:
-            env["OPENBLAS_NUM_THREADS"] = blas_threads
-        out = tmp_path / f"out{threads}"
-        done = subprocess.run(
-            [sys.executable, "-m", "rcec", "estimate", "counts.csv", "--counts", "--out", str(out)],
-            cwd=tmp_path,
-            env=env,
-            capture_output=True,
-            timeout=120,
-        )
-        assert done.returncode == EXIT_OK, done.stderr
-        outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
-    assert outputs[0] == outputs[1]
+    simulate = ["simulate", "--case", "1", "--n", "100", "--p", "200", "--seed", "3"]
+    assert main(simulate + ["--out", str(tmp_path / "samples.csv")]) == EXIT_OK
+    differ = []
+    for command, args in GATE_COMMANDS.items():
+        outputs = {}
+        for blas in ("1", "2"):
+            for threads in ("1", "2"):
+                out = tmp_path / command / f"OPENBLAS_NUM_THREADS={blas},RCEC_THREADS={threads}"
+                done = subprocess.run(
+                    [sys.executable, "-m", "rcec", *(arg.replace("OUT", str(out)) for arg in args)],
+                    cwd=tmp_path,
+                    env=cli_env({"OPENBLAS_NUM_THREADS": blas, "RCEC_THREADS": threads}),
+                    capture_output=True,
+                    timeout=120,
+                )
+                assert done.returncode == EXIT_OK, done.stderr
+                outputs[out.name] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+        first = next(iter(outputs.values()))
+        differ += [f"{command} under {name}" for name, got in outputs.items() if got != first]
+    assert differ == []
