@@ -10,8 +10,8 @@ Each ``cmd_*`` function returns the files its command produces as an
 ordered ``{Path: text}`` dict and writes nothing; :func:`main` writes them
 all or, on failure, none of them, and prints the ``wrote`` line.  All
 outputs are plain CSV, markdown or JSON without timestamps; rerunning a
-command with identical arguments reproduces identical bytes.  Commands run
-inside :func:`rcec.parallel.one_blas_thread`.  ``RCEC_THREADS`` caps the
+command with identical arguments reproduces identical bytes, whatever the
+BLAS thread count (see :mod:`rcec.parallel`).  ``RCEC_THREADS`` caps the
 worker processes of the batch commands and the threads of one
 median-of-means covariance; the bytes do not depend on it.  ``estimate``,
 ``benchmark`` and ``stability`` check it before any work runs.
@@ -42,7 +42,7 @@ from .bench import (
     summarize,
 )
 from .compdata import DEFAULT_ZERO_REPLACEMENT, CompositionMatrix, _check_count, _check_seed, close_counts
-from .parallel import one_blas_thread, worker_count
+from .parallel import worker_count
 from .simgen import CASES, _check_dimension, get_case, basis_to_composition, sample_case
 from .stability import DEFAULT_REPLICATES, DEFAULT_RETAIN, bootstrap_stability
 from .threshold import ThresholdRule
@@ -505,8 +505,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        with one_blas_thread():
-            files = args.func(args)
+        files = args.func(args)
         _write_all(files)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

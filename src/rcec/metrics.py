@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compdata import _as_matrix, _check_count
+from .parallel import one_blas_thread
 
 
 def _pair(a, b):
@@ -28,6 +29,7 @@ def matrix_l1_loss(a, b) -> float:
     return float(np.abs(a - b).sum(axis=0).max())
 
 
+@one_blas_thread()
 def spectral_loss(a, b) -> float:
     """Spectral norm of ``a - b`` for symmetric inputs.
 
@@ -40,12 +42,14 @@ def spectral_loss(a, b) -> float:
     return float(max(abs(eigs[0]), abs(eigs[-1])))
 
 
+@one_blas_thread()
 def frobenius_loss(a, b) -> float:
     """Frobenius norm of ``a - b``."""
     a, b = _pair(a, b)
     return float(np.linalg.norm(a - b, "fro"))
 
 
+@one_blas_thread()
 def min_eigenvalue(a) -> float:
     """Smallest eigenvalue of a symmetric matrix."""
     arr = _as_matrix(a, "matrix", square=True)
@@ -110,6 +114,7 @@ def centering_matrix(p: int) -> np.ndarray:
     return np.eye(p) - np.full((p, p), 1.0 / p)
 
 
+@one_blas_thread()
 def clr_proxy_gap(omega0) -> tuple:
     """Distance between a basis covariance and its clr-projected proxy.
 

@@ -30,11 +30,12 @@ the result is bitwise equal to ``np.median`` over the block axis.
 
 Both phases, forming the block moments and sorting the buffer, split over
 threads through :func:`rcec.parallel.split_work`, which ``RCEC_THREADS``
-caps.  The blocks alternate between the threads, and each thread forms its
-products in its own p x p buffer and gathers them into its own rows of the
-block-major buffer; the sort runs on disjoint column ranges.  Every value
-comes from the same numpy call however the work is split, so the bits do
-not depend on the thread count.
+caps; the threads run under the caller's one-thread BLAS pin.  The blocks
+alternate between the threads, and each thread forms its products in its
+own p x p buffer and gathers them into its own rows of the block-major
+buffer; the sort runs on disjoint column ranges.  Every value comes from
+the same numpy call however the work is split, so the bits do not depend
+on the thread count.
 
 Both estimators are bitwise symmetric with no symmetrizing pass:
 ``block.T @ block`` runs as a BLAS rank-k update that computes one triangle
@@ -50,7 +51,7 @@ import math
 import numpy as np
 
 from .compdata import _as_matrix, _check_count
-from .parallel import split_work
+from .parallel import one_blas_thread, split_work
 
 
 def _check_L(L) -> float:
@@ -98,6 +99,7 @@ def _block_product(block: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+@one_blas_thread()
 def _median_moments(arr: np.ndarray, block_count: int, mask: np.ndarray):
     """Median-of-means first moments, and second moments at ``mask``.
 
@@ -134,6 +136,7 @@ def _median_moments(arr: np.ndarray, block_count: int, mask: np.ndarray):
     return np.median(means, axis=0), middle
 
 
+@one_blas_thread()
 def sample_covariance(W) -> np.ndarray:
     """Sample covariance with divisor n (not n - 1)."""
     arr = _as_matrix(W, "data matrix", min_rows=2)

@@ -20,10 +20,10 @@ split runs.  The ``RCEC_THREADS`` environment variable is the one cap on the
 number of worker processes and of split threads.
 
 :func:`one_blas_thread` pins numpy's bundled OpenBLAS to one thread through
-``ctypes``, since multithreaded kernels may reorder reductions.  Every CLI
-command, every map (its forked workers inherit the count) and every split
-that calls BLAS runs inside it; where that library is not found, it does
-nothing, and such a split runs on the calling thread.
+``ctypes``, since multithreaded kernels may reorder reductions.  It decorates
+each library function that calls BLAS, so forked tasks and split parts are
+pinned too; where that library is not found, it does nothing, and a split
+that calls BLAS runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -89,8 +89,8 @@ def _run(index: int):
 def ordered_map(fn, items, workers: int | None = None) -> list:
     """Map ``fn`` over ``items`` with results in input order.
 
-    Runs inside :func:`one_blas_thread` whatever the worker count, so
-    results are identical whether the map is serial or forked.
+    Results are identical whether the map is serial or forked: a task
+    reaches BLAS only through functions that pin it themselves.
     The first task exception is raised in the caller with its type, and
     the tasks not yet started are cancelled.  A worker that dies, or an
     exception that cannot be unpickled, raises ``BrokenProcessPool``.
@@ -98,23 +98,22 @@ def ordered_map(fn, items, workers: int | None = None) -> list:
     global _job
     items = list(items)
     n = worker_count(len(items), workers)
-    with one_blas_thread():
-        context = _fork_context() if n > 1 else None
-        if context is None or not _busy.acquire(blocking=False):
-            return [fn(item) for item in items]
-        _job = (fn, items)
+    context = _fork_context() if n > 1 else None
+    if context is None or not _busy.acquire(blocking=False):
+        return [fn(item) for item in items]
+    _job = (fn, items)
+    try:
+        # With the fork context the executor forks all n workers on the
+        # first submit, after _job is set and before its manager thread
+        # starts.
+        pool = concurrent.futures.ProcessPoolExecutor(n, mp_context=context)
         try:
-            # With the fork context the executor forks all n workers on the
-            # first submit, after _job is set and before its manager thread
-            # starts.
-            pool = concurrent.futures.ProcessPoolExecutor(n, mp_context=context)
-            try:
-                return list(pool.map(_run, range(len(items))))
-            finally:
-                pool.shutdown(cancel_futures=True)
+            return list(pool.map(_run, range(len(items))))
         finally:
-            _job = None
-            _busy.release()
+            pool.shutdown(cancel_futures=True)
+    finally:
+        _job = None
+        _busy.release()
 
 
 @functools.cache
@@ -146,7 +145,8 @@ def _openblas():
 @contextlib.contextmanager
 def one_blas_thread():
     """Pin numpy's bundled OpenBLAS to one thread, and restore its count on
-    exit, also on error; do nothing where that library is not found."""
+    exit, also on error; do nothing where that library is not found.  Used
+    only as the decorator ``@one_blas_thread()``; the count is process-wide."""
     pin = _openblas()
     if pin is None:
         yield
@@ -169,9 +169,9 @@ def split_work(plan, parts: int, size: int, blas: bool = False) -> None:
     ``range(threads)``, ``k = 0`` on the calling thread.  ``threads`` is 1
     when ``size // _SPLIT_MIN`` is below 2, inside a forked worker, and while
     a map or another split runs; otherwise it is :func:`worker_count` of
-    ``parts`` and that share.  With ``blas`` the parts call BLAS: they run on
-    the calling thread unless numpy's bundled OpenBLAS is found, and it is
-    pinned to one thread while they run.  An exception that a part raises
+    ``parts`` and that share.  With ``blas`` the parts call BLAS and the
+    caller holds :func:`one_blas_thread`: they run on the calling thread
+    unless numpy's bundled OpenBLAS is found.  An exception that a part raises
     reaches the caller with its type, after every thread has joined; part 0's
     comes first, then the others' in part order.
     """
@@ -193,16 +193,15 @@ def split_work(plan, parts: int, size: int, blas: bool = False) -> None:
                 errors[k] = error
 
         helpers = []
-        with one_blas_thread() if blas else contextlib.nullcontext():
-            try:
-                for k in range(1, threads):
-                    helper = threading.Thread(target=guarded, args=(k, contextvars.copy_context()))
-                    helper.start()
-                    helpers.append(helper)
-                part(0)
-            finally:
-                for helper in helpers:
-                    helper.join()
+        try:
+            for k in range(1, threads):
+                helper = threading.Thread(target=guarded, args=(k, contextvars.copy_context()))
+                helper.start()
+                helpers.append(helper)
+            part(0)
+        finally:
+            for helper in helpers:
+                helper.join()
         for error in errors:
             if error is not None:
                 raise error

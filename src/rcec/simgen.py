@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compdata import CompositionMatrix, _as_matrix, _check_count, _check_seed
+from .parallel import one_blas_thread
 
 # Band radius of the Toeplitz block: entry (i, j) is (1 - |i - j| / 10)+.
 BAND_DECAY = 10.0
@@ -131,6 +132,7 @@ def _skew_t_rows(
     return (z * sd[None, :]) / np.sqrt(w)[:, None]
 
 
+@one_blas_thread()
 def sample_case(case, n: int, p: int, seed: int) -> np.ndarray:
     """Draw n latent log-basis rows under the given case.
 

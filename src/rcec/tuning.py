@@ -22,6 +22,7 @@ import numpy as np
 from .compdata import CompositionMatrix, _as_matrix, _check_count, _check_flag, _check_seed, clr_transform
 from .metrics import min_eigenvalue
 from .mom import _check_L, default_block_count, mom_covariance, sample_covariance
+from .parallel import one_blas_thread
 from .threshold import (
     ThresholdRule,
     _clamp_notes,
@@ -324,6 +325,7 @@ def cv_select(W, config: EstimatorConfig, *, grid=None):
     return float(grid[best]), curve
 
 
+@one_blas_thread()
 def _factors(omega: np.ndarray, shift: float) -> bool:
     # Whether the Cholesky factorization of omega - shift * I succeeds.
     shifted = omega.copy()

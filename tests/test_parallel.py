@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 from conftest import cli_env
 
-from rcec import bench, cli, parallel, simgen
-from rcec.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from rcec import bench, metrics, mom, parallel, simgen, tuning
+from rcec.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 from rcec.parallel import THREADS_ENV, ordered_map, split_work, worker_count
 
 
@@ -259,27 +259,6 @@ class TestSplitWork:
         assert threading.active_count() == before
         assert not parallel._busy.locked()
 
-    @pytest.mark.skipif(parallel._openblas() is None, reason="numpy's bundled OpenBLAS not found")
-    @pytest.mark.parametrize("fail", [False, True])
-    def test_blas_is_pinned_only_while_the_threads_run(self, monkeypatch, fail):
-        monkeypatch.setenv(THREADS_ENV, "2")
-        get, _ = parallel._openblas()
-        before = get()
-        seen = []
-
-        def body(k):
-            seen.append(get())
-            if fail:
-                raise RuntimeError("part failed")
-
-        if fail:
-            with pytest.raises(RuntimeError):
-                split_work(_recording_plan([], body), 2, BIG, blas=True)
-        else:
-            split_work(_recording_plan([], body), 2, BIG, blas=True)
-        assert seen == [1, 1]
-        assert get() == before
-
     def test_blas_work_stays_inline_without_the_pin(self, monkeypatch):
         monkeypatch.setenv(THREADS_ENV, "2")
         monkeypatch.setattr(parallel, "_openblas", lambda: None)
@@ -304,25 +283,88 @@ def blas_count():
     set_(old)
 
 
-def with_blas_count(v):
-    return parallel._openblas()[0](), os.getpid()
+class Probe(Exception):
+    """Raised by a spy to end a pinned call early."""
 
 
-def gram(seed):
-    # Large enough that OpenBLAS splits the product over its threads.
-    w = np.random.default_rng(seed).standard_normal((300, 300))
-    return (w.T @ w).tobytes()
+W = np.random.default_rng(0).standard_normal((12, 5))
+SYM = W.T @ W
+
+# Each function that owns the BLAS pin, a call of it, and a callee to spy on
+# as (owner, attribute name).
+PINNED = {
+    "_median_moments": (lambda: mom._median_moments(W, 3, SYM > 0), (mom, "split_work")),
+    "sample_covariance": (lambda: mom.sample_covariance(W), (mom, "_block_product")),
+    "_factors": (lambda: tuning._factors(SYM, 0.0), (np.linalg, "cholesky")),
+    "min_eigenvalue": (lambda: metrics.min_eigenvalue(SYM), (np.linalg, "eigvalsh")),
+    "spectral_loss": (lambda: metrics.spectral_loss(SYM, -SYM), (np.linalg, "eigvalsh")),
+    "frobenius_loss": (lambda: metrics.frobenius_loss(SYM, -SYM), (np.linalg, "norm")),
+    "clr_proxy_gap": (lambda: metrics.clr_proxy_gap(SYM), (metrics, "centering_matrix")),
+    "sample_case": (lambda: simgen.sample_case(1, 4, 6, 0), (simgen, "_cholesky")),
+}
+
+
+def spy(monkeypatch, owner, name, seen, fail=False):
+    """Replace ``owner.name`` with a wrapper that appends numpy's OpenBLAS
+    thread count to ``seen``, then raises ``Probe`` or calls through."""
+    original = getattr(owner, name)
+
+    def recording(*args, **kwargs):
+        seen.append(parallel._openblas()[0]())
+        if fail:
+            raise Probe
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recording)
 
 
 class TestBlasPin:
-    @pytest.mark.parametrize("path", ["one thread", "no fork", "forked"])
-    def test_map_tasks_run_on_one_blas_thread(self, monkeypatch, blas_count, path):
-        monkeypatch.setenv(THREADS_ENV, "1" if path == "one thread" else "2")
-        if path == "no fork":
-            monkeypatch.setattr(parallel, "_fork_context", lambda: None)
-        results = ordered_map(with_blas_count, range(4))
-        assert [count for count, _ in results] == [1] * 4
-        assert (os.getpid() in {pid for _, pid in results}) == (path != "forked")
+    @pytest.mark.parametrize("fail", [False, True], ids=["returns", "raises"])
+    @pytest.mark.parametrize("name", PINNED)
+    def test_pinned_inside_and_restored_after(self, monkeypatch, blas_count, name, fail):
+        call, (owner, attr) = PINNED[name]
+        seen = []
+        spy(monkeypatch, owner, attr, seen, fail)
+        if fail:
+            with pytest.raises(Probe):
+                call()
+        else:
+            call()
+        assert set(seen) == {1}
+        assert blas_count() == 2
+
+    def test_split_parts_run_on_one_blas_thread(self, monkeypatch, blas_count):
+        monkeypatch.setenv(THREADS_ENV, "2")
+        monkeypatch.setattr(parallel, "_SPLIT_MIN", 1)
+        seen, threads = [], set()
+        product = mom._block_product
+
+        def recording_product(block, out):
+            seen.append(blas_count())
+            threads.add(threading.get_ident())
+            return product(block, out)
+
+        monkeypatch.setattr(mom, "_block_product", recording_product)
+        mom._median_moments(W, 6, SYM > 0)
+        assert len(threads) == 2
+        assert set(seen) == {1}
+        assert blas_count() == 2
+
+    def test_forked_map_task_runs_on_one_blas_thread(self, monkeypatch, blas_count):
+        monkeypatch.setenv(THREADS_ENV, "2")
+        seen = []
+        spy(monkeypatch, np.linalg, "eigvalsh", seen)
+
+        def task(v):
+            # The workers fork after the spy is set, and fill their own copy
+            # of ``seen``.
+            metrics.min_eigenvalue(SYM)
+            return blas_count(), seen[-1], os.getpid()
+
+        results = ordered_map(task, range(4))
+        assert os.getpid() not in {pid for *_, pid in results}
+        assert [counts for *counts, _ in results] == [[2, 1]] * 4
+        assert seen == []
         assert blas_count() == 2
 
     @pytest.mark.parametrize("threads", ["1", "2"])
@@ -336,49 +378,46 @@ class TestBlasPin:
             ordered_map(fail, range(4))
         assert blas_count() == 2
 
-    @pytest.mark.parametrize("table, code", [("counts", EXIT_OK), (None, EXIT_USAGE), ("negative", EXIT_DATA)])
-    def test_main_pins_the_command_and_restores_the_count(self, tmp_path, monkeypatch, blas_count, table, code):
-        seen = []
-        run = cli.cmd_estimate
 
-        def cmd_estimate(args):
-            seen.append(blas_count())
-            return run(args)
+# Library calls that reach BLAS, written one value or digest a line to
+# ``library.txt`` in the directory named by the first argument.
+LIBRARY_CALLS = """
+import hashlib, pathlib, sys
+import numpy as np
+from rcec import (basis_to_composition, bootstrap_stability, clr_proxy_gap, estimate,
+                  frobenius_loss, sample_case, spectral_loss)
 
-        monkeypatch.setattr(cli, "cmd_estimate", cmd_estimate)
-        counts = np.random.default_rng(0).integers(1, 50, size=(30, 6))
-        if table == "negative":
-            counts[3, 2] = -1
-        if table is not None:
-            np.savetxt(tmp_path / "in.csv", counts, fmt="%d", delimiter=",", header="a,b,c,d,e,f", comments="")
-        argv = ["estimate", str(tmp_path / "in.csv"), "--counts", "--grid-size", "5", "--out", str(tmp_path / "o")]
-        assert main(argv) == code
-        assert seen == [1]
-        assert blas_count() == 2
+def digest(value):
+    data = value.tobytes() if isinstance(value, np.ndarray) else repr(value).encode()
+    return hashlib.sha256(data).hexdigest()
 
-    def test_without_the_library_main_and_map_give_the_same_bytes(self, tmp_path, monkeypatch):
-        argv = ["simulate", "--case", "2", "--n", "100", "--p", "200", "--seed", "1", "--out"]
-        assert main(argv + [str(tmp_path / "pinned.csv")]) == EXIT_OK
-        mapped = ordered_map(gram, range(3), workers=2)
-        # One BLAS thread set by hand, as the README asks of other BLAS builds.
-        with parallel.one_blas_thread():
-            monkeypatch.setattr(parallel, "_openblas", lambda: None)
-            assert main(argv + [str(tmp_path / "unpinned.csv")]) == EXIT_OK
-            assert ordered_map(gram, range(3), workers=2) == mapped
-        assert (tmp_path / "unpinned.csv").read_bytes() == (tmp_path / "pinned.csv").read_bytes()
+fit = estimate(basis_to_composition(sample_case(2, 100, 400, 1)))
+y = sample_case(2, 100, 200, 1)
+boot = bootstrap_stability(basis_to_composition(y), replicates=4, reuse_lambda=True)
+a, b = np.random.default_rng(1).standard_normal((2, 400, 400))
+values = [fit.lambda_star, digest(fit.omega), digest(y), digest(boot),
+          frobenius_loss(a, b), spectral_loss(a, b), clr_proxy_gap(a)]
+out = pathlib.Path(sys.argv[1])
+out.mkdir(parents=True)
+(out / "library.txt").write_text("\\n".join(map(repr, values)))
+"""
 
-
+# The interpreter arguments of each gated run; OUT names its output directory.
 GATE_COMMANDS = {
-    "simulate": ["simulate", "--case", "2", "--n", "100", "--p", "200", "--seed", "1", "--out", "OUT/samples.csv"],
-    "estimate": ["estimate", "counts.csv", "--counts", "--out", "OUT"],
-    "stability": ["stability", "samples.csv", "-B", "4", "--retain", "2", "--reuse-lambda",
+    "simulate": ["-m", "rcec", "simulate", "--case", "2", "--n", "100", "--p", "200", "--seed", "1",
+                 "--out", "OUT/samples.csv"],
+    "estimate": ["-m", "rcec", "estimate", "counts.csv", "--counts", "--out", "OUT"],
+    "stability": ["-m", "rcec", "stability", "samples.csv", "-B", "4", "--retain", "2", "--reuse-lambda",
                   "--out", "OUT/stability.json"],
+    "library": ["-c", LIBRARY_CALLS, "OUT"],
 }
 
 
 def test_output_bytes_do_not_depend_on_the_thread_counts(tmp_path):
-    """``simulate`` at p = 200, ``estimate`` on a p = 400 counts table and
-    ``stability --reuse-lambda`` at p = 200 each write the same bytes under
+    """``simulate`` at p = 200, ``estimate`` on a p = 400 counts table,
+    ``stability --reuse-lambda`` at p = 200 and the library calls of
+    ``LIBRARY_CALLS`` (``estimate`` at p = 400, ``sample_case``, a reuse-lambda
+    ``bootstrap_stability`` and three losses) each write the same bytes under
     every pair of ``OPENBLAS_NUM_THREADS`` and ``RCEC_THREADS`` in {1, 2}.
 
     On a 1-core host OpenBLAS runs one thread whatever
@@ -397,7 +436,7 @@ def test_output_bytes_do_not_depend_on_the_thread_counts(tmp_path):
             for threads in ("1", "2"):
                 out = tmp_path / command / f"OPENBLAS_NUM_THREADS={blas},RCEC_THREADS={threads}"
                 done = subprocess.run(
-                    [sys.executable, "-m", "rcec", *(arg.replace("OUT", str(out)) for arg in args)],
+                    [sys.executable, *(arg.replace("OUT", str(out)) for arg in args)],
                     cwd=tmp_path,
                     env=cli_env({"OPENBLAS_NUM_THREADS": blas, "RCEC_THREADS": threads}),
                     capture_output=True,
