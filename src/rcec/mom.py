@@ -12,21 +12,21 @@ separately under one shared partition:
 With a single block the medians are plain means and the estimator collapses
 to the sample covariance (divisor n).
 
-The second-moment median runs on a boolean entry mask, one block-major
-m by k buffer over the k masked entries in row-major order, filled one block
-at a time.  ``mom_covariance`` masks the upper triangle: the matrices are
-symmetric, so the lower triangle is a mirror and needs no median of its own,
-and the m x p x p stack ``np.median`` would take is never built.  A caller
-that reads only some entries (a bootstrap replicate reads its baseline edges
-and the diagonal) masks just those.  Each block's undivided ``block.T @
-block`` is gathered at the mask and then divided by the block size; the
-division is elementwise, so gathering first gives the same bits and divides
-only the kept entries.  The buffer is sorted in place along its block axis
-rather than partitioned: the columns are short (m is about 3 ln p), numpy
-sorts short columns faster than its multi-``kth`` partition selects in them,
-and the sort needs no second buffer.  The median is then the mean of the
-middle one or two sorted values, which is how ``np.median`` computes it, so
-the result is bitwise equal to ``np.median`` over the block axis.
+The kernel returns the covariance at the k entries of a boolean mask, in
+row-major order; its second-moment median fills one block-major m by k
+buffer, one block at a time.  ``mom_covariance`` masks the upper triangle and
+mirrors it: the matrices are symmetric, so the lower triangle needs no median
+of its own, and the m x p x p stack ``np.median`` would take is never built.
+A caller that reads only some entries (a bootstrap replicate reads its
+baseline edges and the diagonal) masks just those.  Each block's undivided
+``block.T @ block`` is gathered at the mask and then divided by the block
+size; the division is elementwise, so gathering first gives the same bits and
+divides only the kept entries.  The buffer is sorted in place along its block
+axis rather than partitioned: the columns are short (m is about 3 ln p),
+numpy sorts short columns faster than its multi-``kth`` partition selects in
+them, and the sort needs no second buffer.  The median is then the mean of
+the middle one or two sorted values, which is how ``np.median`` computes it,
+so the result is bitwise equal to ``np.median`` over the block axis.
 
 Both phases, forming the block moments and sorting the buffer, split over
 threads through :func:`rcec.parallel.split_work`, which ``RCEC_THREADS``
@@ -40,8 +40,8 @@ on the thread count.
 Both estimators are bitwise symmetric with no symmetrizing pass:
 ``block.T @ block`` runs as a BLAS rank-k update that computes one triangle
 and mirrors it (numpy's own loop sums (i, j) and (j, i) in the same order),
-the packed median is written to both triangles, and the outer product of
-the means is symmetric because multiplication commutes.
+and the product of the mean medians at (i, j) is that at (j, i) because
+multiplication commutes, so the MOM triangle is written to both.
 """
 
 from __future__ import annotations
@@ -100,13 +100,13 @@ def _block_product(block: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 @one_blas_thread()
-def _median_moments(arr: np.ndarray, block_count: int, mask: np.ndarray):
-    """Median-of-means first moments, and second moments at ``mask``.
+def _median_covariance(arr: np.ndarray, block_count: int, mask: np.ndarray) -> np.ndarray:
+    """Median-of-means covariance at ``mask``.
 
     ``arr`` is a validated n x p data matrix with ``1 <= block_count <= n``
-    and ``mask`` a p x p boolean array.  Returns the length-p median of the
-    block means and the median of the block second moments at the masked
-    entries, in row-major order.
+    and ``mask`` a p x p boolean array.  Returns the masked entries in
+    row-major order: the median of the block second moments less the
+    product of the medians of the block means.
     """
     p = arr.shape[1]
     blocks = np.array_split(arr, block_count)
@@ -133,7 +133,8 @@ def _median_moments(arr: np.ndarray, block_count: int, mask: np.ndarray):
     split_work(block_phase, block_count, seconds.size, blas=True)
     split_work(sort_phase, index.size, seconds.size)
     middle = seconds[(block_count - 1) // 2 : block_count // 2 + 1].mean(axis=0)
-    return np.median(means, axis=0), middle
+    med_mean = np.median(means, axis=0)
+    return middle - np.outer(med_mean, med_mean).take(index)
 
 
 @one_blas_thread()
@@ -170,8 +171,8 @@ def mom_covariance(W, block_count: int) -> np.ndarray:
     if block_count > n:
         raise ValueError(f"block_count {block_count} exceeds sample count {n}")
     upper = np.triu(np.ones((p, p), dtype=bool))
-    med_mean, middle = _median_moments(arr, block_count, upper)
-    med_second = np.empty((p, p))
-    med_second[upper] = middle
-    med_second.T[upper] = middle
-    return med_second - np.outer(med_mean, med_mean)
+    packed = _median_covariance(arr, block_count, upper)
+    gamma = np.empty((p, p))
+    gamma[upper] = packed
+    gamma.T[upper] = packed
+    return gamma

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .compdata import _as_matrix, _check_count, _check_flag, _check_seed, clr_transform
-from .mom import _median_moments
+from .mom import _median_covariance
 from .parallel import ordered_map
 from .threshold import threshold_matrix
 from .tuning import EstimatorConfig, estimate_from_latent, _effective_block_count
@@ -193,7 +193,6 @@ def bootstrap_stability(
     # their thresholds read the diagonal; the covariance is formed there only.
     mask = np.eye(p, dtype=bool)
     mask[rows, cols] = True
-    mask_rows, mask_cols = np.nonzero(mask)
 
     def one_replicate(child):
         # The replicate's estimate at the baseline edges, one value per edge.
@@ -203,9 +202,8 @@ def bootstrap_stability(
         if reuse_lambda:
             w = _as_matrix(w, "data matrix", min_rows=2)
             m = _effective_block_count(config, p, w.shape[0])
-            med_mean, med_second = _median_moments(w, m, mask)
             gamma = np.zeros((p, p))
-            gamma[mask] = med_second - med_mean[mask_rows] * med_mean[mask_cols]
+            gamma[mask] = _median_covariance(w, m, mask)
             omega = threshold_matrix(
                 gamma,
                 baseline_fit.lambda_star,

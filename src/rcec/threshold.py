@@ -13,16 +13,15 @@ Entry-level thresholds follow the variance-adaptive recipe
 
 so a single scale-free tuning parameter ``lam`` serves all entries.
 
-The rules run through one kernel: it computes the lam-free parts (``|z|``,
-``sign(z)`` and, for the clipped rule, ``(a - 1) z`` and ``a sign(z)``) of
-the array it is given and writes the estimate at a threshold into its own
-buffers.  :func:`apply_rule` and :func:`threshold_matrix` build it on the
-whole array for a single threshold.  Tuning thresholds one covariance at a
-whole grid of ``lam`` values, and its sweep touches only the entries that
-can still change: an entry at or below its threshold is zero under every
-rule and stays zero at every larger ``lam``, so from then on the sweep
-builds the kernel on the remaining entries alone.  The estimates, and every
-output, are the same bits as a pass over the whole matrix.
+Every rule runs through one function, which takes ``z``, ``|z|`` and the
+thresholds and returns the estimate in a new array.  :func:`apply_rule` and
+:func:`threshold_matrix` run it on the whole array at a single threshold.
+Tuning thresholds one covariance at a whole grid of ``lam`` values, and its
+sweep touches only the entries that can still change: an entry at or below
+its threshold is zero under every rule and stays zero at every larger
+``lam``, so from then on the sweep passes the function the remaining
+entries alone, with the ``|z|`` it compares to find them.  The estimates,
+and every output, are the same bits as a pass over the whole matrix.
 """
 
 from __future__ import annotations
@@ -123,90 +122,50 @@ def apply_rule(rule: ThresholdRule, z, lam) -> np.ndarray:
     if not np.all(lam >= 0):
         raise ValueError("thresholds must be nonnegative")
     z, lam = np.broadcast_arrays(np.asarray(z, dtype=np.float64), lam)
-    return _Kernel(rule, z)(lam)
+    return _apply(rule, z, np.abs(z), lam)
 
 
-class _Kernel:
-    """One rule applied to one array ``z`` at many thresholds.
+def _apply(rule: ThresholdRule, z: np.ndarray, absz: np.ndarray, t) -> np.ndarray:
+    """``rule`` applied to ``z`` at thresholds ``t`` that broadcast to it,
+    given ``absz = |z|``, in a new array of ``z``'s shape.
 
-    The lam-free arrays are computed once, at construction.  A call runs
-    the rule's elementwise operations for thresholds ``t`` (broadcastable to
-    ``z``) into buffers of ``z``'s shape and returns its one output buffer,
-    which the next call overwrites completely, so a caller may also scribble
-    on it.  With ``keep_diagonal`` the diagonal of a square ``z`` is written
-    back after each call.  Branches are selected with ``np.putmask``: it
-    copies entries bit for bit, signed zeros included, and ran faster than
-    ``np.copyto(..., where=)`` on the scattered masks a covariance gives.
+    Branches are selected with ``np.putmask``: it copies entries bit for
+    bit, signed zeros included, and ran faster than ``np.copyto(...,
+    where=)`` on the scattered masks a covariance gives.
     """
-
-    def __init__(self, rule: ThresholdRule, z: np.ndarray, keep_diagonal: bool = False):
-        self.rule = rule
-        self.z = z
-        self.absz = np.abs(z)
-        self.sign = np.sign(z)
-        self.diagonal = np.diag(z) if keep_diagonal else None
-        self.out = np.empty(z.shape)
-        if rule.kind == "alasso":
-            self.at_most_t = np.empty(z.shape, dtype=bool)
-        if rule.kind == "scad":
-            self.slope = (rule.a - 1.0) * z
-            self.step = self.sign * rule.a
-            self.work = np.empty(z.shape)
-            self.beyond_2t = np.empty(z.shape, dtype=bool)
-            self.beyond_at = np.empty(z.shape, dtype=bool)
-
-    def __call__(self, t) -> np.ndarray:
-        kind = self.rule.kind
-        if kind == "soft":
-            self._soft(t)
-        elif kind == "alasso":
-            self._alasso(t)
-        else:
-            self._scad(t)
-        if self.diagonal is not None:
-            np.fill_diagonal(self.out, self.diagonal)
-        return self.out
-
-    def _soft(self, t):
-        # sign(z) * max(|z| - t, 0)
-        out = self.out
-        np.subtract(self.absz, t, out=out)
-        np.maximum(out, 0.0, out=out)
-        np.multiply(self.sign, out, out=out)
-
-    def _alasso(self, t):
+    out = np.empty(z.shape)
+    if rule.kind == "alasso":
         # z * max(1 - (t / |z|) ** eta, 0), and 0 where |z| <= t.  t / |z|
         # can overflow to inf for subnormal z; those entries sit in the
         # |z| <= t branch, so the intermediate is discarded.
-        out = self.out
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            np.divide(t, self.absz, out=out)
-            out **= self.rule.eta  # the operator keeps numpy's exponent fast paths
+            np.divide(t, absz, out=out)
+            out **= rule.eta  # the operator keeps numpy's exponent fast paths
             np.subtract(1.0, out, out=out)
         np.maximum(out, 0.0, out=out)
-        np.multiply(self.z, out, out=out)
-        np.less_equal(self.absz, t, out=self.at_most_t)
-        np.putmask(out, self.at_most_t, 0.0)
-
-    def _scad(self, t):
+        np.multiply(z, out, out=out)
+        np.putmask(out, np.less_equal(absz, t), 0.0)
+        return out
+    # sign(z) * max(|z| - t, 0)
+    sign = np.sign(z)
+    np.subtract(absz, t, out=out)
+    np.maximum(out, 0.0, out=out)
+    np.multiply(sign, out, out=out)
+    if rule.kind == "scad":
         # Soft where |z| <= 2t, else ((a - 1) z - a sign(z) t) / (a - 2)
         # where |z| <= a t, else z.  The masks negate "<=" so that a NaN
         # threshold still selects z; they mark the few large entries, so
         # the masked copies touch little on most of a grid.
-        a = self.rule.a
-        out, work = self.out, self.work
-        self._soft(t)
-        np.multiply(2.0, t, out=work)
-        np.less_equal(self.absz, work, out=self.beyond_2t)
-        np.logical_not(self.beyond_2t, out=self.beyond_2t)
-        np.multiply(a, t, out=work)
-        np.less_equal(self.absz, work, out=self.beyond_at)
-        np.logical_not(self.beyond_at, out=self.beyond_at)
-        np.multiply(self.step, t, out=work)
-        np.subtract(self.slope, work, out=work)
+        a = rule.a
+        beyond_2t = np.logical_not(np.less_equal(absz, 2.0 * t))
+        beyond_at = np.logical_not(np.less_equal(absz, a * t))
+        work = np.empty(z.shape)
+        np.multiply(sign * a, t, out=work)
+        np.subtract((a - 1.0) * z, work, out=work)
         np.divide(work, a - 2.0, out=work)
-        np.putmask(work, self.beyond_at, self.z)
-        np.putmask(out, self.beyond_2t, work)
+        np.putmask(work, beyond_at, z)
+        np.putmask(out, beyond_2t, work)
+    return out
 
 
 def _clamp_notes(arr: np.ndarray) -> list:
@@ -249,6 +208,8 @@ def threshold_matrix(
     arr = _as_matrix(gamma, "covariance", square=True)
     if not (lam >= 0):
         raise ValueError(f"lam must be nonnegative, got {lam!r}")
-    keep_diagonal = not _check_flag(threshold_diagonal, "threshold_diagonal")
-    kernel = _Kernel(rule, arr, keep_diagonal=keep_diagonal)
-    return kernel(lam * _entry_scale(arr, n))
+    threshold_diagonal = _check_flag(threshold_diagonal, "threshold_diagonal")
+    out = _apply(rule, arr, np.abs(arr), lam * _entry_scale(arr, n))
+    if not threshold_diagonal:
+        np.fill_diagonal(out, np.diag(arr))
+    return out

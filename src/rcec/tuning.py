@@ -25,9 +25,9 @@ from .mom import _check_L, default_block_count, mom_covariance, sample_covarianc
 from .parallel import one_blas_thread
 from .threshold import (
     ThresholdRule,
+    _apply,
     _clamp_notes,
     _entry_scale,
-    _Kernel,
     threshold_matrix,
 )
 
@@ -229,19 +229,20 @@ def _sweep(arr, scale, grid, config: EstimatorConfig):
     # The estimate at every grid value, as the entries that can still change.
     # Walks the grid in increasing order and yields (g, idx, values): the grid
     # index, the flat indices of the live entries and their thresholded values,
-    # which the caller may scribble on.  An entry at or below its threshold is
-    # zero, with the same bits, at every larger value, so it is then dropped;
-    # a NaN threshold keeps it live.  The covariance and the grid are validated.
+    # a new array from _apply that the caller may scribble on.  An entry at or
+    # below its threshold is zero, with the same bits, at every larger value,
+    # so it is then dropped; a NaN threshold keeps it live.  The covariance and
+    # the grid are validated.
     live = np.arange(arr.size)
     if not config.threshold_diagonal:
         live = np.delete(live, np.s_[:: arr.shape[0] + 1])
     z, scale = arr.reshape(-1)[live], scale.reshape(-1)[live]
     for g in np.argsort(grid, kind="stable"):
         t = np.multiply(grid[g], scale)
-        kernel = _Kernel(config.rule, z)
-        yield g, live, kernel(t)
-        keep = np.logical_not(np.less_equal(kernel.absz, t))
-        del kernel, t  # not alive while the next step allocates its own
+        absz = np.abs(z)
+        yield g, live, _apply(config.rule, z, absz, t)
+        keep = np.logical_not(np.less_equal(absz, t))
+        del t, absz  # not alive while the next step allocates its own
         live, z, scale = live[keep], z[keep], scale[keep]
 
 
@@ -325,9 +326,9 @@ def cv_select(W, config: EstimatorConfig, *, grid=None):
     return float(grid[best]), curve
 
 
-@one_blas_thread()
 def _factors(omega: np.ndarray, shift: float) -> bool:
-    # Whether the Cholesky factorization of omega - shift * I succeeds.
+    # Whether the Cholesky factorization of omega - shift * I succeeds.  Runs
+    # under pd_floor_scan's BLAS pin, as does _is_pd.
     shifted = omega.copy()
     shifted.flat[:: omega.shape[0] + 1] -= shift
     try:
@@ -367,6 +368,7 @@ def _is_pd(omega: np.ndarray) -> bool:
     return min_eigenvalue(omega) > PD_TOL
 
 
+@one_blas_thread()
 def pd_floor_scan(gamma, grid, n: int, config: EstimatorConfig):
     """Restrict a tuning grid to values giving a positive definite estimate.
 

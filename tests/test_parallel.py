@@ -293,9 +293,12 @@ SYM = W.T @ W
 # Each function that owns the BLAS pin, a call of it, and a callee to spy on
 # as (owner, attribute name).
 PINNED = {
-    "_median_moments": (lambda: mom._median_moments(W, 3, SYM > 0), (mom, "split_work")),
+    "_median_covariance": (lambda: mom._median_covariance(W, 3, SYM > 0), (mom, "split_work")),
     "sample_covariance": (lambda: mom.sample_covariance(W), (mom, "_block_product")),
-    "_factors": (lambda: tuning._factors(SYM, 0.0), (np.linalg, "cholesky")),
+    "pd_floor_scan": (
+        lambda: tuning.pd_floor_scan(SYM, [0.0], 12, tuning.EstimatorConfig()),
+        (np.linalg, "cholesky"),
+    ),
     "min_eigenvalue": (lambda: metrics.min_eigenvalue(SYM), (np.linalg, "eigvalsh")),
     "spectral_loss": (lambda: metrics.spectral_loss(SYM, -SYM), (np.linalg, "eigvalsh")),
     "frobenius_loss": (lambda: metrics.frobenius_loss(SYM, -SYM), (np.linalg, "norm")),
@@ -345,7 +348,7 @@ class TestBlasPin:
             return product(block, out)
 
         monkeypatch.setattr(mom, "_block_product", recording_product)
-        mom._median_moments(W, 6, SYM > 0)
+        mom._median_covariance(W, 6, SYM > 0)
         assert len(threads) == 2
         assert set(seen) == {1}
         assert blas_count() == 2

@@ -360,13 +360,13 @@ class TestBootstrapStability:
         # Each replicate's covariance kernel sees the baseline edges and the
         # diagonal, not the p(p + 1)/2 entries of a full triangle.
         sizes = []
-        kernel = stability._median_moments
+        kernel = stability._median_covariance
 
         def recording_kernel(arr, block_count, mask):
             sizes.append(int(np.count_nonzero(mask)))
             return kernel(arr, block_count, mask)
 
-        monkeypatch.setattr(stability, "_median_moments", recording_kernel)
+        monkeypatch.setattr(stability, "_median_covariance", recording_kernel)
         monkeypatch.setenv("RCEC_THREADS", "1")  # replicates run in this process
         x = case1_composition()
         result = bootstrap_stability(x, FAST, replicates=3, seed=2, reuse_lambda=True)

@@ -421,3 +421,6 @@ class TestKernelMatchesReference:
         assert_same_bits(apply_rule(rule, z, lam), reference_apply_rule(rule, z, lam))
         assert_same_bits(apply_rule(rule, lam, z * z), reference_apply_rule(rule, lam, z * z))
         assert_same_bits(apply_rule(rule, -1.5, 0.5), reference_apply_rule(rule, -1.5, 0.5))
+        # Scalars give a 0-d array, not a numpy scalar.
+        scalar = apply_rule(rule, -1.5, 0.5)
+        assert type(scalar) is np.ndarray and scalar.shape == ()
