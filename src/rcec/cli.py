@@ -13,8 +13,8 @@ outputs are plain CSV, markdown or JSON without timestamps; rerunning a
 command with identical arguments reproduces identical bytes, whatever the
 BLAS thread count (see :mod:`rcec.parallel`).  ``RCEC_THREADS`` caps the
 worker processes of the batch commands and the threads of one
-median-of-means covariance; the bytes do not depend on it.  ``estimate``,
-``benchmark`` and ``stability`` check it before any work runs.
+median-of-means covariance; the bytes do not depend on it.  Every command
+checks it before any work runs.
 """
 
 from __future__ import annotations
@@ -225,7 +225,6 @@ def _load_composition(args) -> tuple:
 # subcommands
 
 def cmd_estimate(args) -> dict:
-    _usage_check(worker_count, 1)  # a bad RCEC_THREADS fails before any work runs
     taxa, x = _load_composition(args)
     config = build_config(args)
     result = estimate(x, config)
@@ -299,7 +298,6 @@ def _parse_int_list(text: str, what: str) -> tuple:
 
 
 def cmd_benchmark(args) -> dict:
-    _usage_check(worker_count, 1)  # a bad RCEC_THREADS fails before any work runs
     cases = _parse_int_list(args.cases, "case")
     p_values = _parse_int_list(args.p, "dimension")
     estimators = tuple(part.strip() for part in args.estimators.split(",") if part.strip())
@@ -328,7 +326,6 @@ def cmd_benchmark(args) -> dict:
 
 
 def cmd_stability(args) -> dict:
-    _usage_check(worker_count, 1)
     taxa, x = _load_composition(args)
     config = build_config(args)
     _usage_check(_check_count, args.bootstrap, "--bootstrap", 1)
@@ -505,6 +502,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _usage_check(worker_count, 1)  # a bad RCEC_THREADS fails before any work runs
         files = args.func(args)
         _write_all(files)
     except UsageError as exc:
@@ -520,7 +518,3 @@ def main(argv=None) -> int:
         return EXIT_DATA
     print("wrote " + ", ".join(map(str, files)))
     return EXIT_OK
-
-
-if __name__ == "__main__":
-    sys.exit(main())

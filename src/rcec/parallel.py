@@ -53,8 +53,6 @@ _job = None
 
 def worker_count(n_tasks: int, requested: int | None = None) -> int:
     """Resolve the worker count from the request, environment and task count."""
-    if n_tasks <= 0:
-        return 1
     limit = requested
     env = os.environ.get(THREADS_ENV)
     if env is not None:
@@ -175,8 +173,7 @@ def split_work(plan, parts: int, size: int, blas: bool = False) -> None:
     reaches the caller with its type, after every thread has joined; part 0's
     comes first, then the others' in part order.
     """
-    # max(1, ...): worker_count checks RCEC_THREADS only for a positive count.
-    threads = worker_count(max(1, min(parts, size // _SPLIT_MIN)))
+    threads = worker_count(min(parts, size // _SPLIT_MIN))
     if threads == 1 or (blas and _openblas() is None) or not _busy.acquire(blocking=False):
         plan(1)(0)
         return

@@ -167,12 +167,10 @@ def sample_case(case, n: int, p: int, seed: int) -> np.ndarray:
     omega0 = build_omega0(p)
     rng = np.random.default_rng(_check_seed(seed))
 
-    if case.kind == "gaussian":
-        chol = _cholesky(omega0, "omega0")
-        return rng.standard_normal((n, p)) @ chol.T
-    if case.kind == "student_t":
-        chol = _cholesky(omega0, "omega0")
-        normals = rng.standard_normal((n, p)) @ chol.T
+    if case.kind in ("gaussian", "student_t"):
+        normals = rng.standard_normal((n, p)) @ _cholesky(omega0, "omega0").T
+        if case.kind == "gaussian":
+            return normals
         w = rng.chisquare(case.df, n) / case.df
         return normals / np.sqrt(w)[:, None]
     if case.kind == "skew_t":

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .compdata import CompositionMatrix, _as_matrix, _check_count, _check_flag, _check_seed, clr_transform
+from .compdata import _as_matrix, _check_count, _check_flag, _check_seed, clr_transform
 from .metrics import min_eigenvalue
 from .mom import _check_L, default_block_count, mom_covariance, sample_covariance
 from .parallel import one_blas_thread
@@ -417,8 +417,6 @@ def estimate(X, config: EstimatorConfig | None = None) -> EstimateResult:
     """
     if config is None:
         config = EstimatorConfig()
-    if not isinstance(X, CompositionMatrix):
-        X = CompositionMatrix(X)
     return _estimate_from_matrix(clr_transform(X).values, config)
 
 

@@ -1,10 +1,12 @@
 """Shared test configuration."""
 
+import dataclasses
 import multiprocessing
 import os
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -65,3 +67,15 @@ def cli_env(env=None) -> dict:
     if env:
         full_env.update(env)
     return full_env
+
+
+def assert_same_bits(got, want):
+    """Assert that two result dataclasses hold equal fields, arrays and
+    floats bit for bit."""
+    for f in dataclasses.fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, (np.ndarray, float)):
+            a, b = np.asarray(a), np.asarray(b)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+        else:
+            assert a == b, f.name

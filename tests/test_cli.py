@@ -601,7 +601,7 @@ class TestExitCodes:
         "value, message",
         [("0", "must be >= 1, got 0"), ("-3", "must be >= 1, got -3"), ("x", "must be an integer, got 'x'")],
     )
-    @pytest.mark.parametrize("command", ["estimate", "benchmark", "stability"])
+    @pytest.mark.parametrize("command", ["estimate", "simulate", "benchmark", "stability"])
     def test_bad_thread_cap_is_a_usage_error_before_any_fit(
         self, samples_csv, tmp_path, capsys, monkeypatch, command, value, message
     ):
@@ -609,6 +609,7 @@ class TestExitCodes:
             raise AssertionError("the command ran a fit")
 
         monkeypatch.setattr(cli, "estimate", no_fit)
+        monkeypatch.setattr(cli, "sample_case", no_fit)
         monkeypatch.setattr(cli, "run_benchmark", no_fit)
         monkeypatch.setattr(cli, "bootstrap_stability", no_fit)
         monkeypatch.setenv("RCEC_THREADS", value)
@@ -654,6 +655,71 @@ class TestExitCodes:
         del before[blocked]
         after = {p.name: p.read_bytes() for p in out.iterdir() if p.name != blocked}
         assert after == before
+
+
+def _composition(rng, n, p):
+    x = rng.random((n, p)) + 0.1
+    return x / x.sum(axis=1, keepdims=True)
+
+
+def _duplicated_column(rng):
+    x = _composition(rng, 20, 5)
+    x = np.column_stack([x, x[:, 0]])
+    return x / x.sum(axis=1, keepdims=True)
+
+
+def _mom_breakdown(rng):
+    # 25 of 40 rows carry one part multiplied by e^30, so most of the
+    # contiguous median-of-means blocks are contaminated.
+    x = rng.random((40, 6)) + 0.1
+    x[:25, 0] *= np.exp(30)
+    return x / x.sum(axis=1, keepdims=True)
+
+
+def _zero_count_row(rng):
+    counts = rng.integers(1, 20, size=(12, 4))
+    counts[3] = 0
+    return counts
+
+
+class TestEdgeInputs:
+    # Each input table through ``rcec estimate`` at the default config
+    # (5 folds): (table, extra flags, exit code, data error or None).
+    CASES = {
+        "p2-minimum-n": (lambda rng: _composition(rng, 10, 2), [], EXIT_OK, None),
+        "duplicated-column": (_duplicated_column, [], EXIT_OK, None),
+        # The fit succeeds without a note when the MOM estimate breaks down.
+        "mom-breakdown": (_mom_breakdown, [], EXIT_OK, None),
+        "n-below-2-folds": (
+            lambda rng: _composition(rng, 9, 4), [], EXIT_DATA,
+            "need n >= 2 * folds = 10, got n = 9",
+        ),
+        "all-zero-count-row": (
+            _zero_count_row, ["--counts"], EXIT_DATA, "count matrix contains a row of all zeros",
+        ),
+        "one-data-row": (
+            lambda rng: _composition(rng, 1, 3), [], EXIT_DATA,
+            "composition matrix needs at least 2 samples, got n=1",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_estimate_exit_code(self, tmp_path, capsys, name):
+        make, extra, code, error = self.CASES[name]
+        rows = make(np.random.default_rng(0))
+        path = tmp_path / "t.csv"
+        header = ",".join(f"t{j}" for j in range(rows.shape[1]))
+        path.write_text(header + "\n" + "".join(",".join(map(repr, row.tolist())) + "\n" for row in rows))
+        out = tmp_path / "fit"
+        capsys.readouterr()
+        assert main(["estimate", str(path), "--out", str(out), *extra]) == code
+        if error is not None:
+            assert capsys.readouterr().err == f"data error: {error}\n"
+            assert not out.exists()
+            return
+        report = json.loads((out / "report.json").read_text())
+        assert report["min_eigenvalue"] > 0
+        assert report["warnings"] == []
 
 
 class TestCommandsReturnTheirFiles:

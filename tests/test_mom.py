@@ -162,6 +162,10 @@ class TestMomCovariance:
         w = rng.standard_t(df=3, size=(rng.integers(2, 20), rng.integers(2, 6)))
         np.testing.assert_array_equal(mom_covariance(w, 1), sample_covariance(w))
 
+    def test_one_dimensional_input_rejected(self):
+        with pytest.raises(ValueError, match="must be a 2-d array, got ndim=1"):
+            mom_covariance(np.ones(5), 1)
+
     def test_output_symmetric_exactly(self):
         rng = np.random.default_rng(3)
         w = rng.normal(size=(30, 5))

@@ -47,6 +47,8 @@ class TestWorkerCount:
         monkeypatch.setenv(THREADS_ENV, "0")
         with pytest.raises(ValueError, match=">= 1"):
             worker_count(4)
+        with pytest.raises(ValueError, match=">= 1"):
+            worker_count(0)
 
     def test_cpu_count_fallback(self, monkeypatch):
         monkeypatch.delenv(THREADS_ENV, raising=False)

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import assert_same_bits
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -306,6 +307,12 @@ class TestBootstrapStability:
         assert result.lambda_star >= 0.0 and np.isfinite(result.lambda_star)
         np.testing.assert_array_equal(result.baseline_omega, result.baseline_omega.T)
         assert result.baseline_omega.shape == (12, 12)
+
+    def test_default_config_is_estimator_config(self):
+        x = case1_composition(n=40, p=6)
+        assert_same_bits(
+            bootstrap_stability(x, replicates=2), bootstrap_stability(x, EstimatorConfig(), replicates=2)
+        )
 
     def test_accepts_raw_proportions(self):
         x = case1_composition()

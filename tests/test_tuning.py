@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import assert_same_bits
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -306,6 +307,12 @@ class TestCvSelect:
         w = np.random.default_rng(0).normal(size=(8, 3))
         with pytest.raises(ValueError, match="n >= 2"):
             cv_select(w, EstimatorConfig(folds=5))
+
+    @pytest.mark.parametrize("grid", [[], [[0.0, 1.0]]], ids=["empty", "2-d"])
+    def test_grid_must_be_a_nonempty_vector(self, grid):
+        w = np.random.default_rng(0).normal(size=(20, 3))
+        with pytest.raises(ValueError, match="grid must be a nonempty 1-d array"):
+            cv_select(w, EstimatorConfig(folds=2), grid=grid)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
@@ -691,6 +698,17 @@ class TestEstimatePipeline:
         result = estimate_from_latent(y, EstimatorConfig(seed=5, grid_size=10))
         np.testing.assert_array_equal(result.omega, result.omega.T)
         assert result.lambda_star in result.cv_curve[:, 0]
+
+    @pytest.mark.parametrize(
+        "entry, data",
+        [
+            (estimate, _composition(n=40, p=6, seed=3)),
+            (estimate_from_latent, sample_case(1, 40, 6, seed=3)),
+        ],
+        ids=["estimate", "estimate_from_latent"],
+    )
+    def test_default_config_is_estimator_config(self, entry, data):
+        assert_same_bits(entry(data), entry(data, EstimatorConfig()))
 
     def test_warnings_on_unfixable_indefiniteness(self):
         # With PD enforcement off, min_eig may be negative and no note is
