@@ -9,12 +9,12 @@ invariant violation, 4 numerical failure.
 Each ``cmd_*`` function returns the files its command produces as an
 ordered ``{Path: text}`` dict and writes nothing; :func:`main` writes them
 all or, on failure, none of them, and prints the ``wrote`` line.  All
-outputs are plain CSV, markdown or JSON without timestamps; rerunning a
-command with identical arguments reproduces identical bytes, whatever the
-BLAS thread count (see :mod:`rcec.parallel`).  ``RCEC_THREADS`` caps the
-worker processes of the batch commands and the threads of one
-median-of-means covariance; the bytes do not depend on it.  Every command
-checks it before any work runs.
+outputs are plain UTF-8 CSV, markdown or JSON without timestamps;
+rerunning a command with identical arguments reproduces identical bytes,
+whatever the BLAS thread count (see :mod:`rcec.parallel`).
+``RCEC_THREADS`` caps the worker processes of the batch commands and the
+threads of one median-of-means covariance; the bytes do not depend on it.
+Every command checks it before any work runs.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -62,15 +63,16 @@ class UsageError(Exception):
 # input/output helpers
 
 def read_table(path: str):
-    """Read a CSV with a taxon-name header row and numeric sample rows.
+    """Read a UTF-8 CSV with a taxon-name header row and numeric sample rows.
 
-    Malformed content raises :class:`UsageError` with a line and column
-    diagnostic; semantic validation (positivity, closure) happens in the
-    data containers afterwards.
+    A file that cannot be read or decoded raises :class:`UsageError`, and
+    malformed content raises it with a line and column diagnostic; semantic
+    validation (positivity, closure) happens in the data containers
+    afterwards.
     """
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
     reader = csv.reader(io.StringIO(text))
     # Blank and whitespace-only lines (one all-space field) are skipped;
@@ -88,13 +90,17 @@ def read_table(path: str):
             raise UsageError(
                 f"{path}: line {line}: expected {p} fields, found {len(row)}"
             )
-        for c, cell in enumerate(row):
-            try:
-                data[r, c] = float(cell)
-            except ValueError:
-                raise UsageError(
-                    f"{path}: line {line}, column {c + 1}: not a number: {cell!r}"
-                ) from None
+        try:
+            data[r] = list(map(float, row))
+        except ValueError:
+            # Find the first cell that is not a number, for the diagnostic.
+            for c, cell in enumerate(row):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise UsageError(
+                        f"{path}: line {line}, column {c + 1}: not a number: {cell!r}"
+                    ) from None
     return taxa, data
 
 
@@ -116,7 +122,7 @@ def _write_all(files: dict) -> None:
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
             temp = path.with_name(f".{path.name}.tmp")
             staged.append(temp)
-            temp.write_text(text)
+            temp.write_text(text, encoding="utf-8")
         for temp, path in zip(staged, files):
             os.replace(temp, path)
     except OSError as exc:
@@ -126,27 +132,51 @@ def _write_all(files: dict) -> None:
         raise UsageError(f"cannot write {path}: {exc}") from None
 
 
-def _csv_text(header, rows) -> str:
+# csv.writer returns what its file's write returns, so with ``str`` as the
+# write, writerow returns the formatted line.
+_csv_line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+# The text of an exact zero, indexed by its sign bit.
+_ZERO_TEXT = np.array(["0.0", "-0.0"], dtype=object)
+
+
+def _csv_text(header, lines) -> str:
+    """The header as a CSV row, then each line as given.
+
+    Each line already ends in a newline; its numeric fields are shortest
+    round-trip ``repr`` strings, which never need quoting.  Lines are
+    formatted one row at a time, so p^2 Python floats or strings are never
+    alive at once.
+    """
+    # Into a StringIO line by line: a "".join of all the lines gives the
+    # same text, but left the next fit's MOM calls about 5 ms slower at
+    # p = 400 (malloc heap layout, not more live objects).
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    # One writerow call per row: same bytes as writerows, but a lower peak
-    # RSS at p = 400 (malloc heap layout, not more live objects).
-    for row in rows:
-        writer.writerow(row)
+    buf.write(_csv_line(header))
+    for line in lines:
+        buf.write(line)
     return buf.getvalue()
 
 
+def _matrix_fields(row: np.ndarray) -> str:
+    # repr of every entry, computed only for the nonzeros: soft thresholding
+    # keeps the sign of z, so a zero reads 0.0 or -0.0 by its sign bit.
+    fields = _ZERO_TEXT[np.signbit(row).view(np.uint8)]
+    nonzero = np.flatnonzero(row)
+    fields[nonzero] = list(map(repr, row[nonzero].tolist()))
+    return ",".join(fields.tolist())
+
+
 def write_matrix_csv(taxa, matrix: np.ndarray) -> str:
-    # Shortest representations that round-trip; converting row by row keeps
-    # p^2 Python floats from being alive at once.
+    # Each taxon name is quoted as csv.writer quotes the first of several
+    # fields; the slice drops the newline and keeps the comma.
     return _csv_text(
-        ["", *taxa], ([name, *map(repr, row.tolist())] for name, row in zip(taxa, matrix))
+        ["", *taxa],
+        (f"{_csv_line((name, ''))[:-1]}{_matrix_fields(row)}\n" for name, row in zip(taxa, matrix)),
     )
 
 
 def write_samples_csv(taxa, matrix: np.ndarray) -> str:
-    return _csv_text(taxa, (map(repr, row.tolist()) for row in matrix))
+    return _csv_text(taxa, (",".join(map(repr, row.tolist())) + "\n" for row in matrix))
 
 
 def write_json(payload) -> str:
@@ -185,7 +215,7 @@ def build_config(args, own_flags=None) -> EstimatorConfig:
     given = vars(args)
     updates = {key: value for key, value in given.items() if key in _FIELD_TYPES}
     try:
-        values = _parse_kv(Path(given["config"]).read_text()) if given.get("config") else {}
+        values = _parse_kv(Path(given["config"]).read_text(encoding="utf-8")) if given.get("config") else {}
         for key, flag in (own_flags or {}).items():
             if key in values:
                 raise UsageError(

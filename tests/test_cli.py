@@ -4,6 +4,8 @@ Each command is exercised in process through ``main`` (fast, capturable)
 plus one subprocess check that the installed module entry point works.
 """
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -13,6 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import cli_env
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from rcec import cli
 from rcec.bench import TABLE_COLUMNS
@@ -113,12 +117,137 @@ class TestReadTable:
         with pytest.raises(UsageError, match="cannot read"):
             read_table(str(tmp_path / "absent.csv"))
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("x,0.5,0.5", "column 1: not a number: 'x'"),
+            ("0.5,0.5,y", "column 3: not a number: 'y'"),
+            ("0.5,x,y", "column 2: not a number: 'x'"),
+        ],
+    )
+    def test_reports_first_bad_cell(self, tmp_path, row, message):
+        path = tmp_path / "t.csv"
+        path.write_text(f"a,b,c\n0.2,0.3,0.5\n{row}\n")
+        with pytest.raises(UsageError, match=f"line 3, {message}$"):
+            read_table(str(path))
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.integers(2, 5).flatmap(
+            lambda p: st.lists(
+                st.lists(
+                    st.one_of(
+                        st.floats().map(repr),
+                        st.integers(-(10**30), 10**30).map(str),
+                        st.sampled_from(
+                            [" 1.5 ", "\t-2\t", "1e999", "-1e999", "nan", "-inf", "1_000", "+.5"]
+                        ),
+                    ),
+                    min_size=p,
+                    max_size=p,
+                ),
+                min_size=1,
+                max_size=4,
+            )
+        )
+    )
+    def test_cells_parse_as_float_does(self, tmp_path, rows):
+        path = tmp_path / "t.csv"
+        header = ",".join(f"t{j}" for j in range(len(rows[0])))
+        path.write_text("\n".join([header, *(",".join(row) for row in rows)]) + "\n")
+        _, data = read_table(str(path))
+        want = np.array([[float(cell) for cell in row] for row in rows])
+        assert data.tobytes() == want.tobytes()
+
+    def test_reads_utf8_whatever_the_locale(self, tmp_path):
+        # In the C locale with UTF-8 mode and locale coercion off, Python's
+        # default text encoding is ASCII.
+        path = tmp_path / "t.csv"
+        rows = np.random.default_rng(0).dirichlet(np.ones(4), size=12)
+        text = "a\u00e9,b,c,d\n" + "".join(",".join(map(repr, row.tolist())) + "\n" for row in rows)
+        path.write_bytes(text.encode("utf-8"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "rcec", "estimate", str(path), "--out", str(tmp_path / "out"),
+             "--grid-size", "6"],
+            capture_output=True,
+            env=cli_env({"PYTHONUTF8": "0", "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"}),
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        header = (tmp_path / "out" / "omega.csv").read_bytes().split(b"\n")[0]
+        assert header == b",a\xc3\xa9,b,c,d"
+
+    def test_undecodable_input_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "t.csv"
+        path.write_bytes("a\u00e9,b\n0.5,0.5\n0.4,0.6\n".encode("latin-1"))
+        rc = main(["estimate", str(path)])
+        assert rc == EXIT_USAGE
+        assert f"error: cannot read {path}: 'utf-8' codec can't decode" in capsys.readouterr().err
+
     def test_malformed_input_exits_with_usage_code(self, tmp_path, capsys):
         path = tmp_path / "t.csv"
         path.write_text("a,b\n0.5,oops\n0.5,0.5\n")
         rc = main(["estimate", str(path)])
         assert rc == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
+
+
+def _csv_writer_text(header, rows) -> str:
+    # The writers' former formulation, kept as their reference: every row,
+    # numeric fields included, through csv.writer.
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(row)
+    return buf.getvalue()
+
+
+_EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, sys.float_info.max,
+    -sys.float_info.max, np.inf, -np.inf, np.nan, 1.0, -0.1,
+]
+_entries = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats())
+_names = st.one_of(
+    st.text(st.sampled_from([",", '"', "\n", "\r", " ", "a", "\u00e9", "\u4e2d"]), max_size=5),
+    st.text(max_size=4),
+)
+# Every edge value in every row, and a name that needs each kind of care.
+_EDGE_NAMES = ["", " a ", "b,c", 'd"e', "f\ng", "h\ri", "\u00e9"]
+_EDGE_ROWS = [np.roll(_EDGE_FLOATS, k)[: len(_EDGE_NAMES)].tolist() for k in range(len(_EDGE_NAMES))]
+
+
+class TestMatrixWriters:
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda p: st.tuples(
+                st.lists(_names, min_size=p, max_size=p),
+                st.lists(st.lists(_entries, min_size=p, max_size=p), min_size=p, max_size=p),
+            )
+        )
+    )
+    @example((_EDGE_NAMES, _EDGE_ROWS))
+    def test_matrix_csv_matches_csv_writer(self, case):
+        taxa, rows = case
+        matrix = np.array(rows, dtype=float)
+        want = _csv_writer_text(
+            ["", *taxa], ([name, *map(repr, row.tolist())] for name, row in zip(taxa, matrix))
+        )
+        assert cli.write_matrix_csv(taxa, matrix) == want
+
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda p: st.tuples(
+                st.lists(_names, min_size=p, max_size=p),
+                st.lists(st.lists(_entries, min_size=p, max_size=p), min_size=1, max_size=5),
+            )
+        )
+    )
+    @example((_EDGE_NAMES, _EDGE_ROWS))
+    def test_samples_csv_matches_csv_writer(self, case):
+        taxa, rows = case
+        matrix = np.array(rows, dtype=float)
+        want = _csv_writer_text(taxa, (map(repr, row.tolist()) for row in matrix))
+        assert cli.write_samples_csv(taxa, matrix) == want
 
 
 class TestEstimateCommand:
