@@ -65,13 +65,15 @@ class UsageError(Exception):
 def read_table(path: str):
     """Read a UTF-8 CSV with a taxon-name header row and numeric sample rows.
 
+    A leading byte-order mark, as spreadsheet programs write, is dropped.
+
     A file that cannot be read or decoded raises :class:`UsageError`, and
     malformed content raises it with a line and column diagnostic; semantic
     validation (positivity, closure) happens in the data containers
     afterwards.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
     reader = csv.reader(io.StringIO(text))
@@ -215,7 +217,7 @@ def build_config(args, own_flags=None) -> EstimatorConfig:
     given = vars(args)
     updates = {key: value for key, value in given.items() if key in _FIELD_TYPES}
     try:
-        values = _parse_kv(Path(given["config"]).read_text(encoding="utf-8")) if given.get("config") else {}
+        values = _parse_kv(Path(given["config"]).read_text(encoding="utf-8-sig")) if given.get("config") else {}
         for key, flag in (own_flags or {}).items():
             if key in values:
                 raise UsageError(

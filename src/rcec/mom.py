@@ -21,21 +21,27 @@ A caller that reads only some entries (a bootstrap replicate reads its
 baseline edges and the diagonal) masks just those.  Each block's undivided
 ``block.T @ block`` is gathered at the mask and then divided by the block
 size; the division is elementwise, so gathering first gives the same bits and
-divides only the kept entries.  The buffer is sorted in place along its block
-axis rather than partitioned: the columns are short (m is about 3 ln p),
+divides only the kept entries.  The buffer is sorted along its block axis
+rather than partitioned: the columns are short (m is about 3 ln p), and
 numpy sorts short columns faster than its multi-``kth`` partition selects in
-them, and the sort needs no second buffer.  The median is then the mean of
-the middle one or two sorted values, which is how ``np.median`` computes it,
-so the result is bitwise equal to ``np.median`` over the block axis.
+them.  Each thread copies its columns, ``_SORT_TILE`` values at a time,
+into rows of a tile of its own, sorts the rows and copies them back.  The
+rows are contiguous, so numpy sorts them where they are with the sort
+function it runs on a column's copy, and takes no buffer of its own: those
+come from a cache that all threads share, and two threads whose buffers
+shared a cache line sorted about four times slower.  The median is then the
+mean of the middle one or two sorted values, which is how ``np.median``
+computes it, so the result is bitwise equal to ``np.median`` over the block
+axis.
 
 Both phases, forming the block moments and sorting the buffer, split over
 threads through :func:`rcec.parallel.split_work`, which ``RCEC_THREADS``
 caps; the threads run under the caller's one-thread BLAS pin.  The blocks
 alternate between the threads, and each thread forms its products in its
 own p x p buffer and gathers them into its own rows of the block-major
-buffer; the sort runs on disjoint column ranges.  Every value comes from
-the same numpy call however the work is split, so the bits do not depend
-on the thread count.
+buffer; the sort runs on disjoint column ranges, each thread through its
+own tile.  Every value comes from the same numpy call however the work is
+split, so the bits do not depend on the thread count.
 
 Both estimators are bitwise symmetric with no symmetrizing pass:
 ``block.T @ block`` runs as a BLAS rank-k update that computes one triangle
@@ -52,6 +58,11 @@ import numpy as np
 
 from .compdata import _as_matrix, _check_count
 from .parallel import one_blas_thread, split_work
+
+# Values of the block-major buffer that a sort thread copies into its tile
+# at once, whole columns of m values each: 128 kB, a small share of the
+# buffer.  Smaller tiles sort slower, from the per-tile numpy calls.
+_SORT_TILE = 16384
 
 
 def _check_L(L) -> float:
@@ -128,7 +139,18 @@ def _median_covariance(arr: np.ndarray, block_count: int, mask: np.ndarray) -> n
 
     def sort_phase(threads):
         edges = [k * index.size // threads for k in range(threads + 1)]
-        return lambda k: seconds[:, edges[k] : edges[k + 1]].sort(axis=0)
+        width = max(1, _SORT_TILE // block_count)
+        tiles = [np.empty((min(width, edges[k + 1] - edges[k]), block_count)) for k in range(threads)]
+
+        def part(k):
+            for start in range(edges[k], edges[k + 1], width):
+                columns = seconds[:, start : min(start + width, edges[k + 1])]
+                rows = tiles[k][: columns.shape[1]]
+                np.copyto(rows.T, columns)
+                rows.sort(axis=1)
+                np.copyto(columns, rows.T)
+
+        return part
 
     split_work(block_phase, block_count, seconds.size, blas=True)
     split_work(sort_phase, index.size, seconds.size)

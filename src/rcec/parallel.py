@@ -11,13 +11,17 @@ The map runs serially in the calling process where the ``fork`` start method
 does not exist, and when another map or a split is already running: a map
 nested inside a task, or one started by a second thread.
 
-One large array computation, such as a median-of-means kernel, splits over
-threads with :func:`split_work`: numpy releases the interpreter lock in its
-sorts, matrix products and gathers.  Each thread writes its own part of the
-output, so the bits do not depend on the split.  A split runs on the calling
-thread below a size gate, inside a forked worker, and while a map or another
-split runs.  The ``RCEC_THREADS`` environment variable is the one cap on the
-number of worker processes and of split threads.
+One large array computation splits over threads with :func:`split_work`:
+numpy releases the interpreter lock in its sorts, matrix products, gathers
+and LAPACK calls.  The median-of-means kernel splits its blocks and its
+sort; the PD-floor scan deals its grid values out round-robin, and each
+thread sweeps and factors its own values on its own p x p estimate and
+workspace, plus about 3 MB of allocator memory for the Cholesky calls of a
+helper thread.  Each thread writes its own part of the output, so the bits
+do not depend on the split.  A split runs on the calling thread below a
+size gate, inside a forked worker, and while a map or another split runs.
+The ``RCEC_THREADS`` environment variable is the one cap on the number of
+worker processes and of split threads.
 
 :func:`one_blas_thread` pins numpy's bundled OpenBLAS to one thread through
 ``ctypes``, since multithreaded kernels may reorder reductions.  It decorates
@@ -37,11 +41,16 @@ import threading
 
 THREADS_ENV = "RCEC_THREADS"
 
-# The least share of the work (for the median-of-means kernel, entries of
-# its block buffer) that each split thread gets.  On 2 cores, two threads
-# against one made a median-of-means call slower at 108,900 buffer entries
-# (p = 120: 1.12 -> 1.43 ms), broke even near 150,000 and made it faster from
-# 206,080 (p = 160: 2.68 -> 2.51 ms; p = 400: 15.8 -> 10.4 ms).
+# The least share of the work that each split thread gets: for the
+# median-of-means kernel, entries of its block buffer; for the PD-floor
+# scan, entries of the p x p covariance.  On 2 cores, two threads against
+# one made a median-of-means call slower at 108,900 buffer entries (p = 120:
+# 1.12 -> 1.43 ms), broke even near 150,000 and made it faster from 206,080
+# (p = 160: 2.68 -> 2.51 ms; p = 400: 15.8 -> 10.4 ms).  They made a
+# 50-value soft scan slower at p = 100 (2.8 -> 3.3 ms), broke even at
+# p = 120-136 and made it faster from p = 150 (5.5 -> 5.1 ms; p = 200: 8.4 ->
+# 6.5 ms; p = 300: 26.3 -> 16.4 ms; p = 400: 46.8 -> 28.1 ms), so the scan,
+# which splits from p = 388, leaves some gain below that unclaimed.
 _SPLIT_MIN = 75_000
 
 # Held while a map's pool or a split's threads run.  A forked worker inherits

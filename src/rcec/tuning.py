@@ -22,7 +22,7 @@ import numpy as np
 from .compdata import _as_matrix, _check_count, _check_flag, _check_seed, clr_transform
 from .metrics import min_eigenvalue
 from .mom import _check_L, default_block_count, mom_covariance, sample_covariance
-from .parallel import one_blas_thread
+from .parallel import one_blas_thread, split_work
 from .threshold import (
     ThresholdRule,
     _apply,
@@ -225,25 +225,48 @@ def _as_grid(grid) -> np.ndarray:
     return grid
 
 
-def _sweep(arr, scale, grid, config: EstimatorConfig):
-    # The estimate at every grid value, as the entries that can still change.
-    # Walks the grid in increasing order and yields (g, idx, values): the grid
-    # index, the flat indices of the live entries and their thresholded values,
-    # a new array from _apply that the caller may scribble on.  An entry at or
-    # below its threshold is zero, with the same bits, at every larger value,
-    # so it is then dropped; a NaN threshold keeps it live.  The covariance and
-    # the grid are validated.
-    live = np.arange(arr.size)
-    if not config.threshold_diagonal:
-        live = np.delete(live, np.s_[:: arr.shape[0] + 1])
-    z, scale = arr.reshape(-1)[live], scale.reshape(-1)[live]
+# Live entries a sweep thresholds at once.  Its per-step arrays then stay in
+# cache: at p = 400, 8192 ran the CV sweeps about 4% faster than one chunk of
+# every entry, and about as fast as 16384.
+_SWEEP_CHUNK = 8192
+
+
+def _live_entries(p: int, threshold_diagonal: bool) -> np.ndarray:
+    # The flat indices of the p x p entries that thresholding changes.
+    live = np.arange(p * p)
+    if not threshold_diagonal:
+        live = np.delete(live, np.s_[:: p + 1])
+    return live
+
+
+def _sweep(arr, scale, grid, rule: ThresholdRule, live, write):
+    # The estimate at every grid value, as writes of the entries that can
+    # still change.  Walks the grid in increasing order; at each value it
+    # calls write(idx, values) once per chunk of at most _SWEEP_CHUNK live
+    # entries, idx their flat indices (valid during the call only) and values
+    # their thresholded values (a new array from _apply that write may
+    # scribble on), then yields the grid index.  live starts as
+    # _live_entries; z and the scale are gathered per chunk from the full
+    # arrays.  An entry at or below its threshold is zero, with the same
+    # bits, at every larger value, so it is then dropped, compacting live in
+    # place; a NaN threshold keeps it live.  The sweep holds one chunk's
+    # arrays, and the rules are elementwise, so chunks change no bits.  The
+    # covariance and the grid are validated.
+    flat_z, flat_scale = arr.reshape(-1), scale.reshape(-1)
+    count = live.size
     for g in np.argsort(grid, kind="stable"):
-        t = np.multiply(grid[g], scale)
-        absz = np.abs(z)
-        yield g, live, _apply(config.rule, z, absz, t)
-        keep = np.logical_not(np.less_equal(absz, t))
-        del t, absz  # not alive while the next step allocates its own
-        live, z, scale = live[keep], z[keep], scale[keep]
+        kept = 0
+        for start in range(0, count, _SWEEP_CHUNK):
+            idx = live[start : min(start + _SWEEP_CHUNK, count)]
+            z = flat_z[idx]
+            t = np.multiply(grid[g], flat_scale[idx])
+            absz = np.abs(z)
+            write(idx, _apply(rule, z, absz, t))
+            keep = idx[np.logical_not(np.less_equal(absz, t))]
+            live[kept : kept + keep.size] = keep
+            kept += keep.size
+        count = kept
+        yield g
 
 
 def make_folds(n: int, folds: int, seed: int) -> list:
@@ -273,11 +296,15 @@ def _fold_errors(values, test_idx, grid, config: EstimatorConfig) -> np.ndarray:
     err = np.subtract(gamma_train, gamma_test)
     np.multiply(err, err, out=err)
     flat_err, flat_test = err.reshape(-1), gamma_test.reshape(-1)
-    row = np.empty(grid.size)
-    sweep = _sweep(gamma_train, _entry_scale(gamma_train, train.shape[0]), grid, config)
-    for g, idx, fitted in sweep:
+
+    def write(idx, fitted):
         np.subtract(fitted, flat_test[idx], out=fitted)
         flat_err[idx] = np.multiply(fitted, fitted, out=fitted)
+
+    row = np.empty(grid.size)
+    scale = _entry_scale(gamma_train, train.shape[0])
+    live = _live_entries(gamma_train.shape[0], config.threshold_diagonal)
+    for g in _sweep(gamma_train, scale, grid, config.rule, live, write):
         row[g] = float(err.sum())
     return row
 
@@ -326,19 +353,20 @@ def cv_select(W, config: EstimatorConfig, *, grid=None):
     return float(grid[best]), curve
 
 
-def _factors(omega: np.ndarray, shift: float) -> bool:
-    # Whether the Cholesky factorization of omega - shift * I succeeds.  Runs
-    # under pd_floor_scan's BLAS pin, as does _is_pd.
-    shifted = omega.copy()
-    shifted.flat[:: omega.shape[0] + 1] -= shift
+def _factors(work: np.ndarray, diag: np.ndarray, shift: float) -> bool:
+    # Whether the Cholesky factorization succeeds of the workspace holding
+    # omega with its diagonal set to diag - shift, the same bits as omega's
+    # diagonal less the shift.  Runs under pd_floor_scan's BLAS pin, as does
+    # _is_pd.
+    work.flat[:: work.shape[0] + 1] = diag - shift
     try:
-        np.linalg.cholesky(shifted)
+        np.linalg.cholesky(work)
     except np.linalg.LinAlgError:
         return False
     return True
 
 
-def _is_pd(omega: np.ndarray) -> bool:
+def _is_pd(omega: np.ndarray, work: np.ndarray) -> bool:
     """Whether ``min_eigenvalue(omega) > PD_TOL``, mostly without a spectrum.
 
     The Cholesky factorization of ``omega - s I`` succeeds when every
@@ -350,9 +378,14 @@ def _is_pd(omega: np.ndarray) -> bool:
     already clears the band needs no factorization.  A matrix whose column
     sums are not finite does not qualify.  That covers NaN entries, which
     ``min_eigenvalue`` refuses and Cholesky factors into NaN without raising.
+
+    ``work`` is a scratch array of ``omega``'s shape: it takes ``|omega|``
+    for the column sums, then ``omega`` with each shifted diagonal in turn,
+    so a decision allocates no p x p array of its own; the factorizations
+    and, near the floor, the eigenvalues allocate theirs.
     """
     p = omega.shape[0]
-    colsum = np.abs(omega).sum(axis=0)
+    colsum = np.abs(omega, out=work).sum(axis=0)
     delta = _CHOLESKY_MARGIN * p * np.finfo(np.float64).eps * colsum.max()
     if not np.isfinite(delta):
         return False
@@ -361,9 +394,10 @@ def _is_pd(omega: np.ndarray) -> bool:
     diag = np.diag(omega)
     if (diag + np.abs(diag) - colsum).min() > PD_TOL + delta:
         return True
-    if _factors(omega, PD_TOL + delta):
+    np.copyto(work, omega)
+    if _factors(work, diag, PD_TOL + delta):
         return True
-    if not _factors(omega, max(PD_TOL - delta, 0.0)):
+    if not _factors(work, diag, max(PD_TOL - delta, 0.0)):
         return False
     return min_eigenvalue(omega) > PD_TOL
 
@@ -380,18 +414,44 @@ def pd_floor_scan(gamma, grid, n: int, config: EstimatorConfig):
     is expected to be a suffix (thresholding harder moves the estimate
     toward its diagonal); a warning reports any exception observed.
 
-    The scan keeps one estimate and, walking the grid in increasing order,
-    rewrites only the entries not yet zeroed; the decisions are those of
-    thresholding the whole matrix at every value, in the grid's own order.
+    Notes
+    -----
+    The values are decided independently, so the scan deals the sorted
+    grid out round-robin over :func:`~rcec.parallel.split_work`: of ``T``
+    threads, thread ``k`` takes sorted positions ``k, k + T, ...``.  Each
+    thread sweeps its own values in increasing order on its own estimate,
+    rewriting only the entries not yet zeroed, and decides each value with
+    :func:`_is_pd` on its own workspace.  A sweep over any subsequence
+    rebuilds the same matrix at each value as thresholding the whole matrix
+    does, so the decisions, the restricted grid and the notes do not depend
+    on ``T``.  The split is gated on the p x p entry count through the
+    split's size rule: p = 100 runs on the calling thread, p = 400 splits.
+    Each thread holds a p x p estimate, a p x p workspace and its live
+    indices, allocated on the calling thread; a helper thread's Cholesky
+    calls add about 3 MB of allocator memory.
     """
     arr = _as_matrix(gamma, "covariance", square=True)
     grid = _as_grid(grid)
-    omega = arr.copy()
-    flat = omega.reshape(-1)
+    scale = _entry_scale(arr, n)
+    order = np.argsort(grid, kind="stable")
     qualifies = np.empty(grid.size, dtype=bool)
-    for g, idx, values in _sweep(arr, _entry_scale(arr, n), grid, config):
-        flat[idx] = values
-        qualifies[g] = _is_pd(omega)
+
+    def plan(threads):
+        spaces = [
+            (arr.copy(), np.empty_like(arr), _live_entries(arr.shape[0], config.threshold_diagonal))
+            for _ in range(threads)
+        ]
+
+        def part(k):
+            omega, work, live = spaces[k]
+            mine = order[k::threads]
+            write = omega.reshape(-1).__setitem__
+            for j in _sweep(arr, scale, grid[mine], config.rule, live, write):
+                qualifies[mine[j]] = _is_pd(omega, work)
+
+        return part
+
+    split_work(plan, grid.size, arr.size, blas=True)
     notes = []
     if not qualifies.any():
         notes.append(

@@ -176,6 +176,25 @@ class TestReadTable:
         header = (tmp_path / "out" / "omega.csv").read_bytes().split(b"\n")[0]
         assert header == b",a\xc3\xa9,b,c,d"
 
+    def test_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path):
+        # Nor of a config file's first key.
+        path = tmp_path / "t.csv"
+        rows = np.random.default_rng(0).dirichlet(np.ones(4), size=12)
+        text = "a,b,c,d\n" + "".join(",".join(map(repr, row.tolist())) + "\n" for row in rows)
+        path.write_text(text, encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbfa,")
+        taxa, data = read_table(str(path))
+        assert taxa == ["a", "b", "c", "d"]
+        assert data.tobytes() == rows.tobytes()
+        cfg = tmp_path / "rcec.conf"
+        cfg.write_text("grid_size = 6\n", encoding="utf-8-sig")
+        out = tmp_path / "out"
+        assert main(["estimate", str(path), "--out", str(out), "--config", str(cfg)]) == EXIT_OK
+        assert json.loads((out / "report.json").read_text())["config"]["grid_size"] == 6
+        assert (out / "omega.csv").read_bytes().startswith(b",a,b,c,d\na,")
+        for name in ("omega.csv", "edges.json", "report.json"):
+            assert "\ufeff".encode() not in (out / name).read_bytes()
+
     def test_undecodable_input_is_a_usage_error(self, tmp_path, capsys):
         path = tmp_path / "t.csv"
         path.write_bytes("a\u00e9,b\n0.5,0.5\n0.4,0.6\n".encode("latin-1"))

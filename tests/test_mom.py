@@ -287,6 +287,20 @@ class TestThreadSplit:
             for got, want in zip(two, one):
                 _assert_bitwise_equal(got, want)
 
+    @pytest.mark.parametrize("n, m", SHAPES)
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    @pytest.mark.parametrize("tile", [1, 2, 7])
+    def test_sort_tiles_match_np_median(self, monkeypatch, n, m, threads, tile):
+        # Tiles of one, two or seven columns, so tile edges fall inside every
+        # thread's range.
+        monkeypatch.setattr(parallel, "_SPLIT_MIN", 1)
+        monkeypatch.setattr(mom, "_SORT_TILE", tile * m)
+        monkeypatch.setenv("RCEC_THREADS", threads)
+        rng = np.random.default_rng(n * 100 + m)
+        w = rng.choice([-1.0, -0.0, 0.0, 1.0, 2.0], size=(n, 13))
+        sizes = [n // m + 1] * (n % m) + [n // m] * (m - n % m)
+        _assert_bitwise_equal(mom_covariance(w, m), _mom_reference(w, sizes))
+
     def test_more_threads_than_cores_under_fast_switching(self, monkeypatch):
         # Threads writing next to each other in the shared buffers: a lost
         # or misplaced write would change the bits.

@@ -385,12 +385,23 @@ class TestBlasPin:
 
 
 # Library calls that reach BLAS, written one value or digest a line to
-# ``library.txt`` in the directory named by the first argument.
+# ``library.txt`` in the directory named by the first argument.  Each PD
+# scan prints the thread count its split runs on.
 LIBRARY_CALLS = """
 import hashlib, pathlib, sys
 import numpy as np
 from rcec import (basis_to_composition, bootstrap_stability, clr_proxy_gap, estimate,
-                  frobenius_loss, sample_case, spectral_loss)
+                  frobenius_loss, sample_case, spectral_loss, tuning)
+
+split_work = tuning.split_work
+
+def recording_split(plan, *args, **kwargs):
+    def recorded(threads):
+        print("pd_floor_scan threads", threads)
+        return plan(threads)
+    split_work(recorded, *args, **kwargs)
+
+tuning.split_work = recording_split
 
 def digest(value):
     data = value.tobytes() if isinstance(value, np.ndarray) else repr(value).encode()
@@ -424,6 +435,7 @@ def test_output_bytes_do_not_depend_on_the_thread_counts(tmp_path):
     ``LIBRARY_CALLS`` (``estimate`` at p = 400, ``sample_case``, a reuse-lambda
     ``bootstrap_stability`` and three losses) each write the same bytes under
     every pair of ``OPENBLAS_NUM_THREADS`` and ``RCEC_THREADS`` in {1, 2}.
+    The library's p = 400 PD scan splits over ``RCEC_THREADS`` threads.
 
     On a 1-core host OpenBLAS runs one thread whatever
     ``OPENBLAS_NUM_THREADS`` says, so there this test cannot fail."""
@@ -448,6 +460,9 @@ def test_output_bytes_do_not_depend_on_the_thread_counts(tmp_path):
                     timeout=120,
                 )
                 assert done.returncode == EXIT_OK, done.stderr
+                if command == "library":
+                    split = threads if parallel._openblas() is not None else "1"
+                    assert done.stdout.split(b"\n")[0] == f"pd_floor_scan threads {split}".encode()
                 outputs[out.name] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
         first = next(iter(outputs.values()))
         differ += [f"{command} under {name}" for name, got in outputs.items() if got != first]

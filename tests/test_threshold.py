@@ -6,9 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from rcec import EstimatorConfig, ThresholdRule, apply_rule, threshold_matrix
+from rcec import ThresholdRule, apply_rule, threshold_matrix
 from rcec.threshold import _entry_scale
-from rcec.tuning import _sweep
+from rcec import tuning
+from rcec.tuning import _live_entries, _sweep
 
 RULES = [
     ThresholdRule.soft(),
@@ -359,6 +360,50 @@ def boundary_covariance(lam, n, a, seed, p=12):
     return gamma
 
 
+def check_sweep(rule, threshold_diagonal):
+    # An unsorted grid with a repeat, over entries on the rule boundaries:
+    # writing each chunk into one matrix must rebuild the estimate at that
+    # value bit for bit.  The chunks of a value must cover the live entries
+    # in order, each full but the last, and an entry is written again only
+    # while it sits above its threshold at every smaller value.
+    n = 50
+    gamma = boundary_covariance(0.7, n, rule.a, seed=9)
+    p = gamma.shape[0]
+    grid = np.array([3.0, 0.35, 0.0, 1.4, 0.7, 0.35])
+    scale = _entry_scale(gamma, n)
+    entries = np.arange(p * p)
+    if not threshold_diagonal:
+        entries = entries[entries % (p + 1) != 0]
+    omega = gamma.copy()
+    flat = omega.reshape(-1)
+    chunks = []
+
+    def write(idx, values):
+        chunks.append(idx.copy())
+        flat[idx] = values
+        values.fill(np.nan)  # the sweep must not read it back
+
+    seen = []
+    previous = None
+    live = _live_entries(p, threshold_diagonal)
+    for g in _sweep(gamma, scale, grid, rule, live, write):
+        if previous is None:
+            expected_live = entries
+        else:
+            above = np.abs(gamma.reshape(-1)) > previous * scale.reshape(-1)
+            expected_live = entries[above[entries]]
+        sizes = [chunk.size for chunk in chunks]
+        assert all(size == tuning._SWEEP_CHUNK for size in sizes[:-1])
+        assert sizes == [] or 0 < sizes[-1] <= tuning._SWEEP_CHUNK
+        np.testing.assert_array_equal(np.concatenate(chunks or [entries[:0]]), expected_live)
+        chunks.clear()
+        expected = reference_threshold_matrix(gamma, grid[g], n, rule, threshold_diagonal)
+        assert_same_bits(omega, expected)
+        seen.append(g)
+        previous = grid[g]
+    assert sorted(seen) == list(range(grid.size))
+
+
 class TestKernelMatchesReference:
     @pytest.mark.parametrize("rule", KERNEL_RULES, ids=ThresholdRule.spec)
     @pytest.mark.parametrize("threshold_diagonal", [False, True])
@@ -374,37 +419,16 @@ class TestKernelMatchesReference:
     @pytest.mark.parametrize("rule", KERNEL_RULES, ids=ThresholdRule.spec)
     @pytest.mark.parametrize("threshold_diagonal", [False, True])
     def test_sweep_rebuilds_every_value_from_the_live_entries(self, rule, threshold_diagonal):
-        # An unsorted grid with a repeat, over entries on the rule boundaries:
-        # writing each yield into one matrix must rebuild the estimate at that
-        # value bit for bit, and an entry is yielded again only while it sits
-        # above its threshold at every smaller value.
-        n = 50
-        gamma = boundary_covariance(0.7, n, rule.a, seed=9)
-        p = gamma.shape[0]
-        config = EstimatorConfig(rule=rule, threshold_diagonal=threshold_diagonal)
-        grid = np.array([3.0, 0.35, 0.0, 1.4, 0.7, 0.35])
-        scale = _entry_scale(gamma, n)
-        entries = np.arange(p * p)
-        if not threshold_diagonal:
-            entries = entries[entries % (p + 1) != 0]
-        omega = gamma.copy()
-        flat = omega.reshape(-1)
-        seen = []
-        previous = None
-        for g, idx, values in _sweep(gamma, scale, grid, config):
-            if previous is None:
-                live = entries
-            else:
-                above = np.abs(gamma.reshape(-1)) > previous * scale.reshape(-1)
-                live = entries[above[entries]]
-            np.testing.assert_array_equal(idx, live)
-            flat[idx] = values
-            values.fill(np.nan)
-            expected = reference_threshold_matrix(gamma, grid[g], n, rule, threshold_diagonal)
-            assert_same_bits(omega, expected)
-            seen.append(g)
-            previous = grid[g]
-        assert sorted(seen) == list(range(grid.size))
+        check_sweep(rule, threshold_diagonal)
+
+    @pytest.mark.parametrize("rule", KERNEL_RULES, ids=ThresholdRule.spec)
+    @pytest.mark.parametrize("threshold_diagonal", [False, True])
+    def test_sweep_rebuilds_every_value_across_chunk_edges(
+        self, monkeypatch, rule, threshold_diagonal
+    ):
+        # Seven entries a chunk put chunk edges mid-row and mid-array.
+        monkeypatch.setattr(tuning, "_SWEEP_CHUNK", 7)
+        check_sweep(rule, threshold_diagonal)
 
     @pytest.mark.parametrize("rule", KERNEL_RULES, ids=ThresholdRule.spec)
     @given(

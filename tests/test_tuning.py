@@ -1,6 +1,8 @@
 """Grid construction, cross-validation, PD floor, and the full pipeline."""
 
 import json
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -25,7 +27,7 @@ from rcec import (
     sample_case,
     threshold_matrix,
 )
-from rcec import tuning
+from rcec import parallel, tuning
 from rcec.tuning import PD_TOL, _is_pd, _parse_kv, _subset_covariance, pd_floor_scan
 
 
@@ -406,6 +408,11 @@ def _diagonally_dominant(p, margin, spread, seed):
     return omega
 
 
+def is_pd(omega):
+    # The PD floor's decision on one matrix, with a fresh workspace.
+    return _is_pd(omega, np.empty_like(omega))
+
+
 class TestPdDecision:
     """The PD floor's Cholesky test gives the eigenvalue's answer."""
 
@@ -421,17 +428,17 @@ class TestPdDecision:
     )
     def test_agrees_with_min_eigenvalue(self, p, lam_min, spread, seed):
         omega = _with_smallest_eigenvalue(p, lam_min, spread, seed)
-        assert _is_pd(omega) == (min_eigenvalue(omega) > PD_TOL)
+        assert is_pd(omega) == (min_eigenvalue(omega) > PD_TOL)
 
     def test_eigenvalues_decide_only_near_the_floor(self, monkeypatch):
         calls = []
         monkeypatch.setattr(
             tuning, "min_eigenvalue", lambda a: calls.append(1) or min_eigenvalue(a)
         )
-        assert _is_pd(_with_smallest_eigenvalue(20, 1e-3, 1.0, 0))
-        assert not _is_pd(_with_smallest_eigenvalue(20, -1e-3, 1.0, 0))
+        assert is_pd(_with_smallest_eigenvalue(20, 1e-3, 1.0, 0))
+        assert not is_pd(_with_smallest_eigenvalue(20, -1e-3, 1.0, 0))
         assert calls == []
-        _is_pd(_with_smallest_eigenvalue(20, PD_TOL, 1.0, 0))
+        is_pd(_with_smallest_eigenvalue(20, PD_TOL, 1.0, 0))
         assert calls == [1]
 
     @given(
@@ -448,14 +455,14 @@ class TestPdDecision:
         # Each diagonal entry exceeds its row's off-diagonal mass by margin,
         # so the Gershgorin bound sits near the floor from either side.
         omega = _diagonally_dominant(p, margin, spread, seed)
-        assert _is_pd(omega) == (min_eigenvalue(omega) > PD_TOL)
+        assert is_pd(omega) == (min_eigenvalue(omega) > PD_TOL)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_nan_entries_do_not_qualify(self):
         # Cholesky factors a NaN matrix into NaN without raising, and
         # min_eigenvalue refuses the matrix as non-finite.
-        assert not _is_pd(np.full((2, 2), np.nan))
+        assert not is_pd(np.full((2, 2), np.nan))
         # The large pair's entry scale overflows, so under soft thresholding
         # its lam = 0 estimate holds NaN; only the larger values qualify.
         gamma = np.array([[1e200, 0.5e200, 0.0], [0.5e200, 2e200, 0.1], [0.0, 0.1, 1.0]])
@@ -470,9 +477,9 @@ class TestPdDecision:
         monkeypatch.setattr(
             tuning, "min_eigenvalue", lambda a: calls.append(2) or min_eigenvalue(a)
         )
-        assert _is_pd(_diagonally_dominant(30, 1e-3, 1.0, 0))
+        assert is_pd(_diagonally_dominant(30, 1e-3, 1.0, 0))
         assert calls == []
-        assert _is_pd(_with_smallest_eigenvalue(20, 1e-3, 1.0, 0))
+        assert is_pd(_with_smallest_eigenvalue(20, 1e-3, 1.0, 0))
         assert calls == [1]
 
 
@@ -601,6 +608,35 @@ class TestGridLoop:
         assert np.array_equal(restricted, ref_restricted)
         assert notes == ref_notes
 
+    def test_non_monotone_restriction_matches_the_loop(self):
+        # Under the clipped rule the 0.75 entries pass unchanged while the
+        # 0.19 entry is zeroed, which leaves the estimate indefinite; the
+        # estimate is definite below that value and once every entry is
+        # zeroed.  The grid is unsorted and repeats its values.
+        gamma = np.array([[1.0, 0.75, 0.19], [0.75, 1.0, 0.75], [0.19, 0.75, 1.0]])
+        config = EstimatorConfig(rule=ThresholdRule.scad(3.7))
+        grid = np.array([1.18, 0.0, 10.0, 1.18, 0.0, 10.0])
+        restricted, notes = pd_floor_scan(gamma, grid, 40, config)
+        ref_restricted, ref_notes = _reference_pd_floor_scan(gamma, grid, 40, config)
+        assert np.array_equal(restricted, ref_restricted)
+        assert notes == ref_notes
+        np.testing.assert_array_equal(restricted, grid[1:])
+        assert len(notes) == 1 and "not monotone" in notes[0]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_nan_estimates_do_not_qualify_in_any_order(self):
+        # The large pair's entry scale overflows, so at lam = 0 the soft
+        # estimate holds NaN and does not qualify; every larger value does.
+        gamma = np.array([[1e200, 0.5e200, 0.0], [0.5e200, 2e200, 0.1], [0.0, 0.1, 1.0]])
+        grid = np.array([1.0, 0.0, 0.5, 0.0])
+        restricted, notes = pd_floor_scan(gamma, grid, 50, EstimatorConfig())
+        np.testing.assert_array_equal(restricted, grid)
+        assert notes == [
+            "positive definiteness is not monotone over the grid; "
+            "the restricted grid contains non-definite candidates"
+        ]
+
     @pytest.mark.parametrize("bad", [-0.5, float("nan")])
     def test_negative_or_nan_grid_value_rejected(self, bad):
         x = _composition(n=40, p=6, seed=2)
@@ -632,6 +668,93 @@ class TestGridLoop:
             f"covariance diagonal entries as low as {low:.3g} were clamped "
             "to 1e-12 for threshold computation"
         )
+
+
+# Without numpy's bundled OpenBLAS, work that calls BLAS does not split.
+needs_split = pytest.mark.skipif(parallel._openblas() is None, reason="OpenBLAS not found")
+
+
+@needs_split
+class TestGridLoopSplit(TestGridLoop):
+    """The grid-loop comparisons with the PD scan and the median-of-means
+    kernel split over threads at any size."""
+
+    @pytest.fixture(autouse=True, scope="class", params=[2, 3], ids=lambda t: f"threads={t}")
+    def split(self, request):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(parallel, "_SPLIT_MIN", 1)
+            patch.setenv(parallel.THREADS_ENV, str(request.param))
+            yield
+
+
+class Boom(Exception):
+    """Raised inside a split thread."""
+
+
+@needs_split
+class TestPdScanSplit:
+    @pytest.mark.parametrize("p, helpers", [(100, 0), (400, 1)])
+    def test_entry_count_gates_the_split(self, monkeypatch, p, helpers):
+        # The entry count p * p goes through the split's size rule, so
+        # p = 100 stays on one thread, where two were slower, and p = 400
+        # splits.
+        monkeypatch.setenv(parallel.THREADS_ENV, "2")
+        started = []
+        thread = threading.Thread
+
+        class Recording(thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Recording)
+        gamma = _with_smallest_eigenvalue(p, 1e-3, 1.0, 0)
+        grid = np.array([0.0, 0.5, 1.0, 2.0])
+        config = EstimatorConfig()
+        restricted, notes = pd_floor_scan(gamma, grid, 100, config)
+        assert len(started) == helpers
+        ref_restricted, ref_notes = _reference_pd_floor_scan(gamma, grid, 100, config)
+        assert np.array_equal(restricted, ref_restricted)
+        assert notes == ref_notes
+
+    def test_more_threads_than_cores_under_fast_switching(self, monkeypatch):
+        # Five threads writing decisions next to each other: a lost or
+        # misplaced decision would change the restriction or the notes.
+        monkeypatch.setattr(parallel, "_SPLIT_MIN", 1)
+        gamma = np.eye(3)
+        gamma[0, 1] = gamma[1, 0] = 2.0
+        grid = np.random.default_rng(0).permutation(np.linspace(0.0, 16.0, 30))
+        config = EstimatorConfig()
+        want = _reference_pd_floor_scan(gamma, grid, 40, config)
+        monkeypatch.setenv(parallel.THREADS_ENV, "5")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                restricted, notes = pd_floor_scan(gamma, grid, 40, config)
+                assert np.array_equal(restricted, want[0]) and notes == want[1]
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_helper_error_reaches_the_caller_with_its_type(self, monkeypatch, threads):
+        # Only the LinAlgError of a failed factorization is a decision; any
+        # other error raised in a helper thread ends the scan.
+        monkeypatch.setattr(parallel, "_SPLIT_MIN", 1)
+        monkeypatch.setenv(parallel.THREADS_ENV, str(threads))
+        caller = threading.get_ident()
+        cholesky = np.linalg.cholesky
+
+        def failing(a):
+            if threading.get_ident() != caller:
+                raise Boom("in a helper")
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing)
+        gamma = _with_smallest_eigenvalue(20, 1e-3, 1.0, 0)  # needs a factorization
+        with pytest.raises(Boom, match="in a helper"):
+            pd_floor_scan(gamma, np.zeros(4), 50, EstimatorConfig())
+        assert not parallel._busy.locked()
 
 
 class TestEstimatePipeline:
