@@ -66,6 +66,7 @@ def read_table(path: str):
     """Read a UTF-8 CSV with a taxon-name header row and numeric sample rows.
 
     A leading byte-order mark, as spreadsheet programs write, is dropped.
+    Taxon names must be unique.
 
     A file that cannot be read or decoded raises :class:`UsageError`, and
     malformed content raises it with a line and column diagnostic; semantic
@@ -86,6 +87,11 @@ def read_table(path: str):
     p = len(taxa)
     if p < 2:
         raise UsageError(f"{path}: need at least 2 columns, found {p}")
+    seen = set()
+    for name in taxa:
+        if name in seen:
+            raise UsageError(f"{path}: taxon name {name!r} appears more than once")
+        seen.add(name)
     data = np.empty((len(rows) - 1, p))
     for r, (line, row) in enumerate(rows[1:]):
         if len(row) != p:

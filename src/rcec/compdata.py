@@ -136,7 +136,7 @@ class CompositionMatrix(_Table):
             worst = int(np.argmax(np.abs(row_sums - 1.0)))
             raise ValueError(
                 f"composition rows must sum to 1 within {ROW_SUM_TOL:g}; "
-                f"row {worst} sums to {row_sums[worst]!r}"
+                f"row {worst} sums to {float(row_sums[worst])!r}"
             )
 
 
@@ -154,7 +154,7 @@ class ClrMatrix(_Table):
             worst = int(np.argmax(np.abs(row_sums)))
             raise ValueError(
                 f"clr rows must sum to 0 within {CLR_ROW_SUM_TOL:g}; "
-                f"row {worst} sums to {row_sums[worst]!r}"
+                f"row {worst} sums to {float(row_sums[worst])!r}"
             )
 
 

@@ -64,6 +64,13 @@ from .parallel import one_blas_thread, split_work
 # buffer.  Smaller tiles sort slower, from the per-tile numpy calls.
 _SORT_TILE = 16384
 
+# The least share of the block-major buffer, in entries, that each thread of
+# either phase gets.  On 2 cores, two threads against one made a call slower
+# at 108,900 buffer entries (p = 120: 1.12 -> 1.43 ms), broke even near
+# 150,000 and made it faster from 206,080 (p = 160: 2.68 -> 2.51 ms; p = 400:
+# 15.8 -> 10.4 ms).
+_THREAD_SHARE = 75_000
+
 
 def _check_L(L) -> float:
     """The package's one check of ``L``: a finite real number > 0, not a bool or a string."""
@@ -152,8 +159,9 @@ def _median_covariance(arr: np.ndarray, block_count: int, mask: np.ndarray) -> n
 
         return part
 
-    split_work(block_phase, block_count, seconds.size, blas=True)
-    split_work(sort_phase, index.size, seconds.size)
+    cap = seconds.size // _THREAD_SHARE
+    split_work(block_phase, min(block_count, cap), blas=True)
+    split_work(sort_phase, cap)
     middle = seconds[(block_count - 1) // 2 : block_count // 2 + 1].mean(axis=0)
     med_mean = np.median(means, axis=0)
     return middle - np.outer(med_mean, med_mean).take(index)

@@ -13,14 +13,11 @@ nested inside a task, or one started by a second thread.
 
 One large array computation splits over threads with :func:`split_work`:
 numpy releases the interpreter lock in its sorts, matrix products, gathers
-and LAPACK calls.  The median-of-means kernel splits its blocks and its
-sort; the PD-floor scan deals its grid values out round-robin, and each
-thread sweeps and factors its own values on its own p x p estimate and
-workspace, plus about 3 MB of allocator memory for the Cholesky calls of a
-helper thread.  Each thread writes its own part of the output, so the bits
-do not depend on the split.  A split runs on the calling thread below a
-size gate, inside a forked worker, and while a map or another split runs.
-The ``RCEC_THREADS`` environment variable is the one cap on the number of
+and LAPACK calls.  The caller bounds the thread count from its own
+measurements, and each thread writes its own part of the output, so the
+bits do not depend on the split.  A split runs on the calling thread inside
+a forked worker and while a map or another split runs.  The
+``RCEC_THREADS`` environment variable is the one cap on the number of
 worker processes and of split threads.
 
 :func:`one_blas_thread` pins numpy's bundled OpenBLAS to one thread through
@@ -40,18 +37,6 @@ import os
 import threading
 
 THREADS_ENV = "RCEC_THREADS"
-
-# The least share of the work that each split thread gets: for the
-# median-of-means kernel, entries of its block buffer; for the PD-floor
-# scan, entries of the p x p covariance.  On 2 cores, two threads against
-# one made a median-of-means call slower at 108,900 buffer entries (p = 120:
-# 1.12 -> 1.43 ms), broke even near 150,000 and made it faster from 206,080
-# (p = 160: 2.68 -> 2.51 ms; p = 400: 15.8 -> 10.4 ms).  They made a
-# 50-value soft scan slower at p = 100 (2.8 -> 3.3 ms), broke even at
-# p = 120-136 and made it faster from p = 150 (5.5 -> 5.1 ms; p = 200: 8.4 ->
-# 6.5 ms; p = 300: 26.3 -> 16.4 ms; p = 400: 46.8 -> 28.1 ms), so the scan,
-# which splits from p = 388, leaves some gain below that unclaimed.
-_SPLIT_MIN = 75_000
 
 # Held while a map's pool or a split's threads run.  A forked worker inherits
 # it held, so a map or a split inside a task runs serially.
@@ -167,22 +152,22 @@ def one_blas_thread():
         set_(old)
 
 
-def split_work(plan, parts: int, size: int, blas: bool = False) -> None:
+def split_work(plan, threads: int, blas: bool = False) -> None:
     """Run one computation split over threads, each writing its own outputs.
 
-    ``plan(threads)`` runs on the calling thread and returns ``part``; it
-    allocates what the threads need there, so peak memory does not depend on
-    thread timing.  ``part(k)`` then runs once for each ``k`` in
-    ``range(threads)``, ``k = 0`` on the calling thread.  ``threads`` is 1
-    when ``size // _SPLIT_MIN`` is below 2, inside a forked worker, and while
-    a map or another split runs; otherwise it is :func:`worker_count` of
-    ``parts`` and that share.  With ``blas`` the parts call BLAS and the
-    caller holds :func:`one_blas_thread`: they run on the calling thread
-    unless numpy's bundled OpenBLAS is found.  An exception that a part raises
+    ``threads`` is the most threads the work can use, from the caller's own
+    measurements; :func:`worker_count` caps it, and the count is 1 inside a
+    forked worker and while a map or another split runs.  ``plan(count)``
+    runs on the calling thread and returns ``part``; it allocates what the
+    threads need there, so peak memory does not depend on thread timing.
+    ``part(k)`` then runs once for each ``k`` in ``range(count)``, ``k = 0``
+    on the calling thread.  With ``blas`` the parts call BLAS and the caller
+    holds :func:`one_blas_thread`: they run on the calling thread unless
+    numpy's bundled OpenBLAS is found.  An exception that a part raises
     reaches the caller with its type, after every thread has joined; part 0's
     comes first, then the others' in part order.
     """
-    threads = worker_count(min(parts, size // _SPLIT_MIN))
+    threads = worker_count(threads)
     if threads == 1 or (blas and _openblas() is None) or not _busy.acquire(blocking=False):
         plan(1)(0)
         return

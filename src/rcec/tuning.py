@@ -40,6 +40,13 @@ PD_TOL = 1e-10
 # inside which a Cholesky factorization is not trusted to decide the PD floor.
 _CHOLESKY_MARGIN = 64.0
 
+# The least p that each thread of the PD scan gets: the scan's cost is its
+# O(p^3) factorizations.  On 2 cores, two threads against one made a
+# 50-value soft scan slower at p = 100 (2.80 -> 3.21 ms), broke even at
+# p = 120-136 and made it faster from p = 150 (5.4 -> 4.7 ms; p = 200: 8.3 ->
+# 6.4 ms; p = 300: 25.5 -> 15.7 ms; p = 400: 45.5 -> 27.6 ms).
+_SCAN_THREAD_P = 75
+
 # Upper end of the degenerate grid used when no off-diagonal signal exists.
 DEGENERATE_GRID_MAX = 1e-12
 
@@ -424,11 +431,11 @@ def pd_floor_scan(gamma, grid, n: int, config: EstimatorConfig):
     :func:`_is_pd` on its own workspace.  A sweep over any subsequence
     rebuilds the same matrix at each value as thresholding the whole matrix
     does, so the decisions, the restricted grid and the notes do not depend
-    on ``T``.  The split is gated on the p x p entry count through the
-    split's size rule: p = 100 runs on the calling thread, p = 400 splits.
-    Each thread holds a p x p estimate, a p x p workspace and its live
-    indices, allocated on the calling thread; a helper thread's Cholesky
-    calls add about 3 MB of allocator memory.
+    on ``T``.  Each thread gets at least ``_SCAN_THREAD_P`` of p, so the
+    scan splits from p = 150.  Each thread holds a p x p estimate, a p x p
+    workspace and its live indices, allocated on the calling thread; a
+    helper thread's last Cholesky calls leave two p x p buffers free in its
+    allocator arena (about 3 MB at p = 400, 16-19 MB at p = 1000).
     """
     arr = _as_matrix(gamma, "covariance", square=True)
     grid = _as_grid(grid)
@@ -451,7 +458,7 @@ def pd_floor_scan(gamma, grid, n: int, config: EstimatorConfig):
 
         return part
 
-    split_work(plan, grid.size, arr.size, blas=True)
+    split_work(plan, min(grid.size, arr.shape[0] // _SCAN_THREAD_P), blas=True)
     notes = []
     if not qualifies.any():
         notes.append(

@@ -8,6 +8,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -195,6 +196,18 @@ class TestReadTable:
         for name in ("omega.csv", "edges.json", "report.json"):
             assert "\ufeff".encode() not in (out / name).read_bytes()
 
+    @pytest.mark.parametrize("header", ["a,a,b", "a,b, a", "b,a,c,a"])
+    def test_repeated_taxon_name_is_a_usage_error(self, tmp_path, capsys, header):
+        path = tmp_path / "t.csv"
+        rows = np.random.default_rng(0).dirichlet(np.ones(header.count(",") + 1), size=12)
+        path.write_text(header + "\n" + "".join(",".join(map(repr, row.tolist())) + "\n" for row in rows))
+        with pytest.raises(UsageError, match=re.escape(f"{path}: taxon name 'a' appears more than once")):
+            read_table(str(path))
+        out = tmp_path / "out"
+        assert main(["estimate", str(path), "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {path}: taxon name 'a' appears more than once\n"
+        assert not out.exists()
+
     def test_undecodable_input_is_a_usage_error(self, tmp_path, capsys):
         path = tmp_path / "t.csv"
         path.write_bytes("a\u00e9,b\n0.5,0.5\n0.4,0.6\n".encode("latin-1"))
@@ -358,6 +371,14 @@ class TestEstimateCommand:
         rc = main(["estimate", str(path), "--folds", "2"])
         assert rc == EXIT_DATA
         assert "strictly positive" in capsys.readouterr().err
+
+    def test_row_sum_error_prints_a_plain_float(self, tmp_path, capsys):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b,c\n" + "0.2,0.5,0.5\n" * 6)
+        assert main(["estimate", str(path)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.endswith("; row 0 sums to 1.2\n")
+        assert "np.float64" not in err
 
     def test_too_few_samples_is_a_data_error(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -79,7 +79,8 @@ class TestContainers:
         np.testing.assert_array_equal(clr_transform(f_order).values, clr_transform(x).values)
 
     def test_clr_matrix_rejects_noncentered_rows(self):
-        with pytest.raises(ValueError, match="sum"):
+        # The row sum is printed as a plain float, not a numpy repr.
+        with pytest.raises(ValueError, match=r"sum.*; row 0 sums to 2\.0$"):
             ClrMatrix([[1.0, 1.0], [0.5, -0.5]])
 
 

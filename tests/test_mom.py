@@ -271,7 +271,7 @@ class TestThreadSplit:
     @pytest.mark.parametrize("n, m", SHAPES)
     @pytest.mark.parametrize("ties", [False, True])
     def test_same_bits_under_one_and_two_threads(self, monkeypatch, n, m, ties):
-        monkeypatch.setattr(parallel, "_SPLIT_MIN", 1)
+        monkeypatch.setattr(mom, "_THREAD_SHARE", 1)
         rng = np.random.default_rng(n * 100 + m)
         p = 13
         if ties:
@@ -293,7 +293,7 @@ class TestThreadSplit:
     def test_sort_tiles_match_np_median(self, monkeypatch, n, m, threads, tile):
         # Tiles of one, two or seven columns, so tile edges fall inside every
         # thread's range.
-        monkeypatch.setattr(parallel, "_SPLIT_MIN", 1)
+        monkeypatch.setattr(mom, "_THREAD_SHARE", 1)
         monkeypatch.setattr(mom, "_SORT_TILE", tile * m)
         monkeypatch.setenv("RCEC_THREADS", threads)
         rng = np.random.default_rng(n * 100 + m)
@@ -304,7 +304,7 @@ class TestThreadSplit:
     def test_more_threads_than_cores_under_fast_switching(self, monkeypatch):
         # Threads writing next to each other in the shared buffers: a lost
         # or misplaced write would change the bits.
-        monkeypatch.setattr(parallel, "_SPLIT_MIN", 1)
+        monkeypatch.setattr(mom, "_THREAD_SHARE", 1)
         w = np.random.default_rng(4).standard_t(df=3, size=(23, 31))
         mask = np.random.default_rng(5).random((31, 31)) < 0.5
         want, _ = self._run(monkeypatch, "1", w, 11, mask)
@@ -319,7 +319,7 @@ class TestThreadSplit:
             sys.setswitchinterval(interval)
 
     def test_block_phase_stays_inline_without_the_blas_pin(self, monkeypatch):
-        monkeypatch.setattr(parallel, "_SPLIT_MIN", 1)
+        monkeypatch.setattr(mom, "_THREAD_SHARE", 1)
         w = np.random.default_rng(3).standard_t(df=3, size=(19, 13))
         mask = np.triu(np.ones((13, 13), dtype=bool))
         pinned, _ = self._run(monkeypatch, "2", w, 6, mask)

@@ -204,42 +204,39 @@ def _recording_plan(log, body=None):
     return plan
 
 
-BIG = 10 * parallel._SPLIT_MIN
-
-
 class TestSplitWork:
     def test_splits_over_the_capped_thread_count(self, monkeypatch):
         monkeypatch.setenv(THREADS_ENV, "2")
         log = []
-        split_work(_recording_plan(log), 8, BIG)
+        split_work(_recording_plan(log), 8)
         me = threading.get_ident()
         assert log[0] == ("plan", 2, me)
         threads = dict(log[1:])
         assert threads.keys() == {0, 1}
         assert threads[0] == me != threads[1]
 
-    @pytest.mark.parametrize("size", [0, BIG])
-    def test_bad_cap_fails_at_any_size(self, monkeypatch, size):
+    @pytest.mark.parametrize("threads", [0, 1, 8])
+    def test_bad_cap_fails_at_any_thread_bound(self, monkeypatch, threads):
         monkeypatch.setenv(THREADS_ENV, "0")
         with pytest.raises(ValueError, match=">= 1"):
-            split_work(_recording_plan([]), 2, size)
+            split_work(_recording_plan([]), threads)
 
-    def test_parts_cap_the_thread_count(self, monkeypatch):
+    def test_bound_caps_the_thread_count(self, monkeypatch):
         monkeypatch.setenv(THREADS_ENV, "4")
         log = []
-        split_work(_recording_plan(log), 3, BIG)
+        split_work(_recording_plan(log), 3)
         assert log[0][1] == 3
 
-    @pytest.mark.parametrize("case", ["one thread", "busy", "below the gate"])
+    @pytest.mark.parametrize("case", ["one thread", "busy", "bound of 1", "bound of 0"])
     def test_runs_on_the_calling_thread(self, monkeypatch, case):
         monkeypatch.setenv(THREADS_ENV, "1" if case == "one thread" else "2")
-        size = 2 * parallel._SPLIT_MIN - 1 if case == "below the gate" else BIG
+        threads = {"bound of 1": 1, "bound of 0": 0}.get(case, 8)
         log = []
         if case == "busy":
             with parallel._busy:  # held inside a forked worker or a running map
-                split_work(_recording_plan(log), 8, size, blas=True)
+                split_work(_recording_plan(log), threads, blas=True)
         else:
-            split_work(_recording_plan(log), 8, size, blas=True)
+            split_work(_recording_plan(log), threads, blas=True)
         me = threading.get_ident()
         assert log == [("plan", 1, me), (0, me)]
 
@@ -256,7 +253,7 @@ class TestSplitWork:
 
         before = threading.active_count()
         with pytest.raises(KeyError, match=f"part {failing}"):
-            split_work(_recording_plan([], body), 2, BIG)
+            split_work(_recording_plan([], body), 2)
         assert finished == [1 - failing]
         assert threading.active_count() == before
         assert not parallel._busy.locked()
@@ -265,10 +262,10 @@ class TestSplitWork:
         monkeypatch.setenv(THREADS_ENV, "2")
         monkeypatch.setattr(parallel, "_openblas", lambda: None)
         log = []
-        split_work(_recording_plan(log), 2, BIG, blas=True)
+        split_work(_recording_plan(log), 2, blas=True)
         assert log == [("plan", 1, threading.get_ident()), (0, threading.get_ident())]
         log = []
-        split_work(_recording_plan(log), 2, BIG)  # work without BLAS still splits
+        split_work(_recording_plan(log), 2)  # work without BLAS still splits
         assert log[0][1] == 2
 
 
@@ -340,7 +337,7 @@ class TestBlasPin:
 
     def test_split_parts_run_on_one_blas_thread(self, monkeypatch, blas_count):
         monkeypatch.setenv(THREADS_ENV, "2")
-        monkeypatch.setattr(parallel, "_SPLIT_MIN", 1)
+        monkeypatch.setattr(mom, "_THREAD_SHARE", 1)
         seen, threads = [], set()
         product = mom._block_product
 
@@ -409,10 +406,11 @@ def digest(value):
 
 fit = estimate(basis_to_composition(sample_case(2, 100, 400, 1)))
 y = sample_case(2, 100, 200, 1)
+fit200 = estimate(basis_to_composition(y))
 boot = bootstrap_stability(basis_to_composition(y), replicates=4, reuse_lambda=True)
 a, b = np.random.default_rng(1).standard_normal((2, 400, 400))
-values = [fit.lambda_star, digest(fit.omega), digest(y), digest(boot),
-          frobenius_loss(a, b), spectral_loss(a, b), clr_proxy_gap(a)]
+values = [fit.lambda_star, digest(fit.omega), digest(y), fit200.lambda_star, digest(fit200.omega),
+          digest(boot), frobenius_loss(a, b), spectral_loss(a, b), clr_proxy_gap(a)]
 out = pathlib.Path(sys.argv[1])
 out.mkdir(parents=True)
 (out / "library.txt").write_text("\\n".join(map(repr, values)))
@@ -432,10 +430,11 @@ GATE_COMMANDS = {
 def test_output_bytes_do_not_depend_on_the_thread_counts(tmp_path):
     """``simulate`` at p = 200, ``estimate`` on a p = 400 counts table,
     ``stability --reuse-lambda`` at p = 200 and the library calls of
-    ``LIBRARY_CALLS`` (``estimate`` at p = 400, ``sample_case``, a reuse-lambda
-    ``bootstrap_stability`` and three losses) each write the same bytes under
-    every pair of ``OPENBLAS_NUM_THREADS`` and ``RCEC_THREADS`` in {1, 2}.
-    The library's p = 400 PD scan splits over ``RCEC_THREADS`` threads.
+    ``LIBRARY_CALLS`` (``estimate`` at p = 400 and p = 200, ``sample_case``, a
+    reuse-lambda ``bootstrap_stability`` and three losses) each write the same
+    bytes under every pair of ``OPENBLAS_NUM_THREADS`` and ``RCEC_THREADS`` in
+    {1, 2}.  The library's PD scans, at p = 400 and p = 200, split over
+    ``RCEC_THREADS`` threads.
 
     On a 1-core host OpenBLAS runs one thread whatever
     ``OPENBLAS_NUM_THREADS`` says, so there this test cannot fail."""
@@ -462,7 +461,8 @@ def test_output_bytes_do_not_depend_on_the_thread_counts(tmp_path):
                 assert done.returncode == EXIT_OK, done.stderr
                 if command == "library":
                     split = threads if parallel._openblas() is not None else "1"
-                    assert done.stdout.split(b"\n")[0] == f"pd_floor_scan threads {split}".encode()
+                    # The p = 400 fit, the p = 200 fit and the stability baseline fit.
+                    assert done.stdout.decode().split("\n")[:-1] == [f"pd_floor_scan threads {split}"] * 3
                 outputs[out.name] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
         first = next(iter(outputs.values()))
         differ += [f"{command} under {name}" for name, got in outputs.items() if got != first]

@@ -27,7 +27,7 @@ from rcec import (
     sample_case,
     threshold_matrix,
 )
-from rcec import parallel, tuning
+from rcec import mom, parallel, tuning
 from rcec.tuning import PD_TOL, _is_pd, _parse_kv, _subset_covariance, pd_floor_scan
 
 
@@ -677,12 +677,13 @@ needs_split = pytest.mark.skipif(parallel._openblas() is None, reason="OpenBLAS 
 @needs_split
 class TestGridLoopSplit(TestGridLoop):
     """The grid-loop comparisons with the PD scan and the median-of-means
-    kernel split over threads at any size."""
+    kernel split over threads at any size (the scan on at most p threads)."""
 
     @pytest.fixture(autouse=True, scope="class", params=[2, 3], ids=lambda t: f"threads={t}")
     def split(self, request):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(parallel, "_SPLIT_MIN", 1)
+            patch.setattr(tuning, "_SCAN_THREAD_P", 1)
+            patch.setattr(mom, "_THREAD_SHARE", 1)
             patch.setenv(parallel.THREADS_ENV, str(request.param))
             yield
 
@@ -693,11 +694,11 @@ class Boom(Exception):
 
 @needs_split
 class TestPdScanSplit:
-    @pytest.mark.parametrize("p, helpers", [(100, 0), (400, 1)])
+    @pytest.mark.parametrize("p, helpers", [(100, 0), (136, 0), (150, 1), (400, 1)])
     def test_entry_count_gates_the_split(self, monkeypatch, p, helpers):
-        # The entry count p * p goes through the split's size rule, so
-        # p = 100 stays on one thread, where two were slower, and p = 400
-        # splits.
+        # Each thread gets at least _SCAN_THREAD_P of p, so p = 100 and
+        # p = 136 stay on one thread, where two were slower or broke even,
+        # and p = 150 and p = 400 split.
         monkeypatch.setenv(parallel.THREADS_ENV, "2")
         started = []
         thread = threading.Thread
@@ -717,11 +718,33 @@ class TestPdScanSplit:
         assert np.array_equal(restricted, ref_restricted)
         assert notes == ref_notes
 
+    @pytest.mark.parametrize("p, bound", [(400, 5), (1000, 13), (2000, 26)])
+    def test_thread_bound_grows_with_p(self, monkeypatch, p, bound):
+        # The bound the scan asks split_work for, read without starting a
+        # thread.  From p = 1000 it is no more than the former gate on the
+        # entry count, p * p // 75,000, so a large scan holds no more p x p
+        # spaces than it did under that gate.
+        monkeypatch.setenv(parallel.THREADS_ENV, "64")
+        bounds = []
+
+        def spy(plan, threads, blas=False):
+            bounds.append(parallel.worker_count(threads))
+            plan(1)(0)
+
+        monkeypatch.setattr(tuning, "split_work", spy)
+        grid = np.linspace(0.0, 1.0, 32)
+        restricted, notes = pd_floor_scan(np.eye(p), grid, 100, EstimatorConfig())
+        assert bounds == [bound]
+        assert np.array_equal(restricted, grid) and notes == []
+        if p >= 1000:
+            assert bound <= min(grid.size, p * p // 75_000)
+
     def test_more_threads_than_cores_under_fast_switching(self, monkeypatch):
         # Five threads writing decisions next to each other: a lost or
         # misplaced decision would change the restriction or the notes.
-        monkeypatch.setattr(parallel, "_SPLIT_MIN", 1)
-        gamma = np.eye(3)
+        # p = 5 lets the scan take five threads at one column a thread.
+        monkeypatch.setattr(tuning, "_SCAN_THREAD_P", 1)
+        gamma = np.eye(5)
         gamma[0, 1] = gamma[1, 0] = 2.0
         grid = np.random.default_rng(0).permutation(np.linspace(0.0, 16.0, 30))
         config = EstimatorConfig()
@@ -740,7 +763,7 @@ class TestPdScanSplit:
     def test_helper_error_reaches_the_caller_with_its_type(self, monkeypatch, threads):
         # Only the LinAlgError of a failed factorization is a decision; any
         # other error raised in a helper thread ends the scan.
-        monkeypatch.setattr(parallel, "_SPLIT_MIN", 1)
+        monkeypatch.setattr(tuning, "_SCAN_THREAD_P", 1)
         monkeypatch.setenv(parallel.THREADS_ENV, str(threads))
         caller = threading.get_ident()
         cholesky = np.linalg.cholesky
