@@ -97,9 +97,8 @@ def _cell_seeds(seed: int, case: int, p: int, rep: int):
     return tuple(int(child.generate_state(1, np.uint64)[0]) for child in children)
 
 
-def run_benchmark(spec: BenchmarkSpec, config: EstimatorConfig | None = None) -> list:
+def run_benchmark(spec: BenchmarkSpec, config: EstimatorConfig = EstimatorConfig()) -> list:
     """Run all replications and return records in deterministic order."""
-    base_config = config if config is not None else EstimatorConfig()
     tasks = itertools.product(spec.cases, spec.p_values, range(spec.replications))
     omega_truth = {p: build_omega0(p) for p in spec.p_values}
 
@@ -111,7 +110,7 @@ def run_benchmark(spec: BenchmarkSpec, config: EstimatorConfig | None = None) ->
         records = []
         for arm in spec.estimators:
             kind = "rcec" if arm == "oracle" else arm
-            cfg = replace(base_config, estimator=kind, seed=fold_seed)
+            cfg = replace(config, estimator=kind, seed=fold_seed)
             fit = estimate_from_latent(y, cfg) if arm == "oracle" else estimate(x, cfg)
             truth = omega_truth[p]
             support = support_metrics(fit.omega, truth)

@@ -27,7 +27,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -314,11 +314,7 @@ def cmd_simulate(args) -> dict:
             {
                 "command": "simulate",
                 "case": args.case,
-                "kind": case.kind,
-                "df": case.df,
-                "alpha": case.alpha,
-                "contamination": case.contamination,
-                "shift": case.shift,
+                **asdict(case),
                 "n": args.n,
                 "p": args.p,
                 "seed": args.seed,

@@ -1,6 +1,7 @@
 """Loss functions and support-recovery metrics for covariance estimates.
 
-All matrix losses act on the symmetric difference of two square matrices.
+All matrix losses act on the difference of two square matrices; the eigenvalue
+helpers expect symmetric input and read only its lower triangle, as LAPACK does.
 Support metrics compare the off-diagonal sparsity patterns of an estimate
 and a reference, counting each unordered pair once.
 """
@@ -33,12 +34,10 @@ def matrix_l1_loss(a, b) -> float:
 def spectral_loss(a, b) -> float:
     """Spectral norm of ``a - b`` for symmetric inputs.
 
-    Equals the largest absolute eigenvalue of the (symmetrized) difference.
+    Equals the largest absolute eigenvalue of ``a - b``, read from its lower triangle.
     """
     a, b = _pair(a, b)
-    d = a - b
-    d = (d + d.T) / 2.0
-    eigs = np.linalg.eigvalsh(d)
+    eigs = np.linalg.eigvalsh(a - b)
     return float(max(abs(eigs[0]), abs(eigs[-1])))
 
 
@@ -51,9 +50,8 @@ def frobenius_loss(a, b) -> float:
 
 @one_blas_thread()
 def min_eigenvalue(a) -> float:
-    """Smallest eigenvalue of a symmetric matrix."""
+    """Smallest eigenvalue of a symmetric matrix, read from its lower triangle."""
     arr = _as_matrix(a, "matrix", square=True)
-    arr = (arr + arr.T) / 2.0
     return float(np.linalg.eigvalsh(arr)[0])
 
 

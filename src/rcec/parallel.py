@@ -58,7 +58,9 @@ def worker_count(n_tasks: int, requested: int | None = None) -> int:
             raise ValueError(f"{THREADS_ENV} must be >= 1, got {env_limit}")
         limit = env_limit if limit is None else min(limit, env_limit)
     if limit is None:
-        limit = os.cpu_count() or 1
+        # The CPUs this process may run on, where the OS reports them.
+        affinity = getattr(os, "sched_getaffinity", None)
+        limit = len(affinity(0)) if affinity else os.cpu_count() or 1
     return max(1, min(limit, n_tasks))
 
 

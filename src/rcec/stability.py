@@ -95,7 +95,7 @@ class StabilityResult:
     seed: int
     lambda_star: float
     reuse_lambda: bool
-    baseline_omega: np.ndarray = None
+    baseline_omega: np.ndarray
 
 
 def filter_stable(baseline: SupportSet, retain_threshold: int) -> SupportSet:
@@ -132,7 +132,7 @@ def _tally(baseline: SupportSet, values: np.ndarray):
 
 def bootstrap_stability(
     X,
-    config: EstimatorConfig | None = None,
+    config: EstimatorConfig = EstimatorConfig(),
     replicates: int = DEFAULT_REPLICATES,
     retain_threshold: int = DEFAULT_RETAIN,
     seed: int = 0,
@@ -146,7 +146,7 @@ def bootstrap_stability(
     ----------
     X : CompositionMatrix or array_like
         Compositional data, one sample per row.
-    config : EstimatorConfig
+    config : EstimatorConfig, default ``EstimatorConfig()``
         Pipeline configuration for the baseline and every replicate.
     replicates : int
         Number of bootstrap resamples B.
@@ -177,8 +177,6 @@ def bootstrap_stability(
     replicates = _check_count(replicates, "replicates", 1)
     retain_threshold = _check_count(retain_threshold, "retain_threshold", 0)
     reuse_lambda = _check_flag(reuse_lambda, "reuse_lambda")
-    if config is None:
-        config = EstimatorConfig()
     # clr works row by row, so the clr rows of a resample are the resampled
     # clr rows: transform once, resample W.
     W = clr_transform(X).values

@@ -53,7 +53,7 @@ DEGENERATE_GRID_MAX = 1e-12
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Knobs of the estimation pipeline.
+    """Knobs of the estimation pipeline; frozen, so one default instance is shared.
 
     estimator
         ``"rcec"`` (median-of-means covariance) or ``"coat"`` (sample
@@ -165,8 +165,6 @@ class EstimateResult:
 
     omega
         Final thresholded covariance estimate.
-    gamma
-        Un-thresholded full-data covariance the estimate was built from.
     lambda_star
         Selected tuning value (member of the evaluated grid).
     cv_curve
@@ -180,7 +178,6 @@ class EstimateResult:
     """
 
     omega: np.ndarray
-    gamma: np.ndarray
     lambda_star: float
     cv_curve: np.ndarray
     min_eig: float
@@ -475,27 +472,23 @@ def pd_floor_scan(gamma, grid, n: int, config: EstimatorConfig):
     return grid[first:], notes
 
 
-def estimate(X, config: EstimatorConfig | None = None) -> EstimateResult:
+def estimate(X, config: EstimatorConfig = EstimatorConfig()) -> EstimateResult:
     """Run the full pipeline on compositional data.
 
     ``X`` is a :class:`CompositionMatrix` (or validated as one).  The data
     are clr-transformed and handed to the covariance, grid and CV stages;
     see the module docstring for the stage order.
     """
-    if config is None:
-        config = EstimatorConfig()
     return _estimate_from_matrix(clr_transform(X).values, config)
 
 
-def estimate_from_latent(Y, config: EstimatorConfig | None = None) -> EstimateResult:
+def estimate_from_latent(Y, config: EstimatorConfig = EstimatorConfig()) -> EstimateResult:
     """Run the pipeline on rows that need no clr transform.
 
     ``Y`` holds latent (basis) rows, as in the oracle arm of benchmarks
     where the un-composed data are available, or clr rows already
     transformed, as in the bootstrap replicates.
     """
-    if config is None:
-        config = EstimatorConfig()
     return _estimate_from_matrix(_as_matrix(Y, "data matrix"), config)
 
 
@@ -523,7 +516,6 @@ def _estimate_from_matrix(values: np.ndarray, config: EstimatorConfig) -> Estima
         )
     return EstimateResult(
         omega=omega,
-        gamma=gamma,
         lambda_star=lambda_star,
         cv_curve=curve,
         min_eig=min_eig,

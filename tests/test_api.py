@@ -61,7 +61,7 @@ SIGNATURES = {
     "CountMatrix": ("values",),
     "Edge": ("i", "j", "sign", "weight"),
     "EstimateResult": (
-        "omega", "gamma", "lambda_star", "cv_curve", "min_eig", "block_count", "warnings",
+        "omega", "lambda_star", "cv_curve", "min_eig", "block_count", "warnings",
     ),
     "EstimatorConfig": (
         "estimator", "rule", "folds", "grid_size", "L", "enforce_pd",

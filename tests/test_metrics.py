@@ -138,6 +138,13 @@ class TestMinEigenvalue:
         with pytest.raises(ValueError, match="non-finite"):
             min_eigenvalue([[np.nan, 0.0], [0.0, 1.0]])
 
+    def test_huge_finite_entries_do_not_overflow(self):
+        # The helpers read one triangle: a symmetrizing copy (x + x.T) / 2
+        # would overflow to inf here and give nan, with a RuntimeWarning.
+        big = np.diag([1e308, 1.0])
+        assert min_eigenvalue(big) == 1.0
+        assert spectral_loss(big, np.zeros((2, 2))) == 1e308
+
 
 class TestEigensolver:
     @pytest.mark.parametrize("p", [3, 10, 40])

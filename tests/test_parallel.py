@@ -19,6 +19,7 @@ from rcec.parallel import THREADS_ENV, ordered_map, split_work, worker_count
 class TestWorkerCount:
     def test_defaults_to_cpu_count_clamped_by_tasks(self, monkeypatch):
         monkeypatch.delenv(THREADS_ENV, raising=False)
+        monkeypatch.delattr("os.sched_getaffinity", raising=False)
         monkeypatch.setattr("os.cpu_count", lambda: 8)
         assert worker_count(3) == 3
         assert worker_count(100) == 8
@@ -52,8 +53,17 @@ class TestWorkerCount:
 
     def test_cpu_count_fallback(self, monkeypatch):
         monkeypatch.delenv(THREADS_ENV, raising=False)
+        monkeypatch.delattr("os.sched_getaffinity", raising=False)
         monkeypatch.setattr("os.cpu_count", lambda: None)
         assert worker_count(10) == 1
+
+    def test_defaults_to_the_affinity_mask(self, monkeypatch):
+        # A taskset- or cpuset-limited process may run on fewer CPUs than
+        # the host has; the default counts only those.
+        monkeypatch.delenv(THREADS_ENV, raising=False)
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr("os.cpu_count", lambda: 8)
+        assert worker_count(100) == 2
 
 
 def with_pid(v):

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 from conftest import assert_same_bits
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rcec import (
@@ -25,6 +25,7 @@ from rcec import (
     make_folds,
     min_eigenvalue,
     sample_case,
+    spectral_loss,
     threshold_matrix,
 )
 from rcec import mom, parallel, tuning
@@ -531,6 +532,38 @@ def _reference_cv_curve(values, config, grid):
 RULES = [ThresholdRule.soft(), ThresholdRule.adaptive_lasso(2.0), ThresholdRule.scad(3.7)]
 
 
+def _bits(x):
+    return np.float64(x).view(np.int64)
+
+
+class TestFinalEstimateSymmetry:
+    """The final estimate is bitwise symmetric, signed zeros included, so
+    the eigen helpers, which read one triangle, give what eigvalsh of the
+    symmetrized copy (x + x.T) / 2 gives."""
+
+    @pytest.mark.parametrize("enforce_pd", [True, False])
+    @pytest.mark.parametrize("threshold_diagonal", [False, True])
+    @pytest.mark.parametrize("estimator", ["rcec", "coat"])
+    @pytest.mark.parametrize("rule", RULES, ids=ThresholdRule.spec)
+    @settings(max_examples=10)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(10, 30), p=st.integers(2, 8))
+    def test_bitwise_symmetric(self, rule, estimator, threshold_diagonal, enforce_pd, seed, n, p):
+        rng = np.random.default_rng(seed)
+        x = basis_to_composition(rng.standard_t(3, size=(n, p)) @ rng.normal(size=(p, p)))
+        config = EstimatorConfig(
+            estimator=estimator, rule=rule, threshold_diagonal=threshold_diagonal,
+            enforce_pd=enforce_pd, seed=seed % 1000, grid_size=10,
+        )
+        omega = estimate(x, config).omega
+        assert np.array_equal(omega.view(np.int64), omega.T.view(np.int64))
+
+        gamma = _subset_covariance(clr_transform(x).values, config)
+        assert _bits(min_eigenvalue(omega)) == _bits(np.linalg.eigvalsh((omega + omega.T) / 2)[0])
+        d = omega - gamma
+        eigs = np.linalg.eigvalsh((d + d.T) / 2)
+        assert _bits(spectral_loss(omega, gamma)) == _bits(max(abs(eigs[0]), abs(eigs[-1])))
+
+
 class TestGridLoop:
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -663,7 +696,8 @@ class TestGridLoop:
         assert caught == []
         clamps = [note for note in result.warnings if "clamped" in note]
         assert len(clamps) == 1
-        low = float(np.diag(result.gamma).min())
+        gamma = _subset_covariance(clr_transform(x).values, config)
+        low = float(np.diag(gamma).min())
         assert result.warnings[0] == (
             f"covariance diagonal entries as low as {low:.3g} were clamped "
             "to 1e-12 for threshold computation"
@@ -809,17 +843,23 @@ class TestEstimatePipeline:
 
     def test_single_block_equals_coat_bitwise(self):
         x = _composition(case=2, n=50, p=8, seed=3)
-        rcec_m1 = estimate(x, EstimatorConfig(block_count=1, seed=21, grid_size=15))
-        coat = estimate(x, EstimatorConfig(estimator="coat", seed=21, grid_size=15))
+        rcec_cfg = EstimatorConfig(block_count=1, seed=21, grid_size=15)
+        coat_cfg = EstimatorConfig(estimator="coat", seed=21, grid_size=15)
+        rcec_m1, coat = estimate(x, rcec_cfg), estimate(x, coat_cfg)
         np.testing.assert_array_equal(rcec_m1.omega, coat.omega)
-        np.testing.assert_array_equal(rcec_m1.gamma, coat.gamma)
+        w = clr_transform(x).values
+        np.testing.assert_array_equal(_subset_covariance(w, rcec_cfg), _subset_covariance(w, coat_cfg))
         assert rcec_m1.lambda_star == coat.lambda_star
 
     def test_memory_layout_does_not_change_bits(self):
         x = _composition(case=1, n=60, p=20, seed=0).values
-        c_order = estimate(x, EstimatorConfig(seed=0))
-        f_order = estimate(np.asfortranarray(x), EstimatorConfig(seed=0))
-        np.testing.assert_array_equal(f_order.gamma, c_order.gamma)
+        cfg = EstimatorConfig(seed=0)
+        c_order = estimate(x, cfg)
+        f_order = estimate(np.asfortranarray(x), cfg)
+        np.testing.assert_array_equal(
+            _subset_covariance(clr_transform(np.asfortranarray(x)).values, cfg),
+            _subset_covariance(clr_transform(x).values, cfg),
+        )
         np.testing.assert_array_equal(f_order.omega, c_order.omega)
         np.testing.assert_array_equal(f_order.cv_curve, c_order.cv_curve)
         assert f_order.lambda_star == c_order.lambda_star
