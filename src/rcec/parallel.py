@@ -4,8 +4,9 @@ Batch drivers (benchmark replications, bootstrap replicates) fan out across
 forked worker processes and collect results in submission order, so serial
 and parallel runs produce identical output.  A map stores its function and
 items in a module global before the pool forks; the workers inherit them and
-receive only task indices, so closures and large inputs are never pickled.
-Only results and exceptions travel back, and an exception keeps its type.
+receive only task indices, in chunks, so closures and large inputs are never
+pickled.  Only results and exceptions travel back, and an exception keeps its
+type; a task that raises ends its chunk.
 
 The map runs serially in the calling process where the ``fork`` start method
 does not exist, and when another map or a split is already running: a map
@@ -84,10 +85,15 @@ def ordered_map(fn, items, workers: int | None = None) -> list:
     """Map ``fn`` over ``items`` with results in input order.
 
     Results are identical whether the map is serial or forked: a task
-    reaches BLAS only through functions that pin it themselves.
-    The first task exception is raised in the caller with its type, and
-    the tasks not yet started are cancelled.  A worker that dies, or an
-    exception that cannot be unpickled, raises ``BrokenProcessPool``.
+    reaches BLAS only through functions that pin it themselves.  Forked
+    tasks go to the workers in chunks of ``len(items) // (16 * n)``, at
+    least one, for ``n`` workers: each worker gets at least 16 chunks, so
+    the last one finishes at most a chunk after the others, and each chunk
+    makes one round trip through the pool's queues.  The first task
+    exception in input order is raised in the caller with its type; the
+    rest of its chunk does not run, and the chunks not yet started are
+    cancelled.  A worker that dies, or an exception that cannot be
+    unpickled, raises ``BrokenProcessPool``.
     """
     global _job
     items = list(items)
@@ -102,7 +108,8 @@ def ordered_map(fn, items, workers: int | None = None) -> list:
         # starts.
         pool = concurrent.futures.ProcessPoolExecutor(n, mp_context=context)
         try:
-            return list(pool.map(_run, range(len(items))))
+            chunk = max(1, len(items) // (16 * n))
+            return list(pool.map(_run, range(len(items)), chunksize=chunk))
         finally:
             pool.shutdown(cancel_futures=True)
     finally:

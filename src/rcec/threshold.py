@@ -20,8 +20,12 @@ Tuning thresholds one covariance at a whole grid of ``lam`` values, and its
 sweep touches only the entries that can still change: an entry at or below
 its threshold is zero under every rule and stays zero at every larger
 ``lam``, so from then on the sweep passes the function the remaining
-entries alone, with the ``|z|`` it compares to find them.  The estimates,
-and every output, are the same bits as a pass over the whole matrix.
+entries alone, with the ``|z|`` it compares to find them.  Once few entries
+remain, one call thresholds them at several ``lam`` values at once, on
+thresholds of shape (values, entries); an entry that reaches zero inside
+such a batch is written again at the batch's later values with the zero it
+already holds.  The estimates, and every output, are the same bits as a
+pass over the whole matrix.
 """
 
 from __future__ import annotations

@@ -108,6 +108,24 @@ class TestProcessFanOut:
             ordered_map(fail_on_three, range(8), workers=2)
         assert multiprocessing.active_children() == []
 
+    def test_a_failing_task_ends_its_chunk(self, tmp_path, monkeypatch):
+        # 96 tasks on 2 workers go 3 to a chunk, so task 4 fails in the
+        # chunk of tasks 3 to 5: after task 3 ran, and before task 5 runs.
+        monkeypatch.setenv(THREADS_ENV, "2")
+
+        def mark_then_fail_on_four(v):
+            (tmp_path / str(v)).write_text(str(os.getpid()))
+            if v == 4:
+                raise np.linalg.LinAlgError("task 4 failed")
+            return v
+
+        with pytest.raises(np.linalg.LinAlgError, match="task 4 failed"):
+            ordered_map(mark_then_fail_on_four, range(96), workers=2)
+        assert multiprocessing.active_children() == []
+        assert (tmp_path / "3").read_text() != str(os.getpid())
+        assert (tmp_path / "4").exists()
+        assert not (tmp_path / "5").exists()
+
     def test_no_worker_outlives_a_successful_map(self):
         assert ordered_map(with_pid, range(8), workers=2)
         assert multiprocessing.active_children() == []

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from rcec import ThresholdRule, apply_rule, threshold_matrix
-from rcec.threshold import _entry_scale
+from rcec.threshold import _apply, _entry_scale
 from rcec import tuning
 from rcec.tuning import _live_entries, _sweep
 
@@ -363,9 +363,10 @@ def boundary_covariance(lam, n, a, seed, p=12):
 def check_sweep(rule, threshold_diagonal):
     # An unsorted grid with a repeat, over entries on the rule boundaries:
     # writing each chunk into one matrix must rebuild the estimate at that
-    # value bit for bit.  The chunks of a value must cover the live entries
-    # in order, each full but the last, and an entry is written again only
-    # while it sits above its threshold at every smaller value.
+    # value bit for bit.  The chunks of a value must come in increasing
+    # index order, each full but the last, and cover the entries above their
+    # thresholds at every smaller value; any other entry they write is at or
+    # below its threshold at an earlier value.
     n = 50
     gamma = boundary_covariance(0.7, n, rule.a, seed=9)
     p = gamma.shape[0]
@@ -388,14 +389,18 @@ def check_sweep(rule, threshold_diagonal):
     live = _live_entries(p, threshold_diagonal)
     for g in _sweep(gamma, scale, grid, rule, live, write):
         if previous is None:
-            expected_live = entries
+            dead = np.zeros(p * p, dtype=bool)
         else:
-            above = np.abs(gamma.reshape(-1)) > previous * scale.reshape(-1)
-            expected_live = entries[above[entries]]
+            dead = np.abs(gamma.reshape(-1)) <= previous * scale.reshape(-1)
+        expected_live = entries[~dead[entries]]
         sizes = [chunk.size for chunk in chunks]
         assert all(size == tuning._SWEEP_CHUNK for size in sizes[:-1])
         assert sizes == [] or 0 < sizes[-1] <= tuning._SWEEP_CHUNK
-        np.testing.assert_array_equal(np.concatenate(chunks or [entries[:0]]), expected_live)
+        written = np.concatenate(chunks or [entries[:0]])
+        assert np.all(np.diff(written) > 0)
+        assert np.isin(expected_live, written).all()
+        extra = written[~np.isin(written, expected_live)]
+        assert np.isin(extra, entries).all() and dead[extra].all()
         chunks.clear()
         expected = reference_threshold_matrix(gamma, grid[g], n, rule, threshold_diagonal)
         assert_same_bits(omega, expected)
@@ -429,6 +434,50 @@ class TestKernelMatchesReference:
         # Seven entries a chunk put chunk edges mid-row and mid-array.
         monkeypatch.setattr(tuning, "_SWEEP_CHUNK", 7)
         check_sweep(rule, threshold_diagonal)
+
+    @pytest.mark.parametrize("rule", KERNEL_RULES, ids=ThresholdRule.spec)
+    @pytest.mark.parametrize("threshold_diagonal", [False, True])
+    def test_sweep_rebuilds_every_value_from_chunks_to_batches(
+        self, monkeypatch, rule, threshold_diagonal
+    ):
+        # With 200 entry-values a chunk, the 132 or 144 live entries take
+        # one value per call until at most 100 stay live, then several.
+        shapes = []
+
+        def spy(rule, z, absz, t):
+            shapes.append(t.shape)
+            return _apply(rule, z, absz, t)
+
+        monkeypatch.setattr(tuning, "_SWEEP_CHUNK", 200)
+        monkeypatch.setattr(tuning, "_apply", spy)
+        check_sweep(rule, threshold_diagonal)
+        assert len(shapes[0]) == 1 and len(shapes[-1]) == 2
+
+    @pytest.mark.parametrize("chunk", [7, 200, 8192])
+    @pytest.mark.parametrize("threshold_diagonal", [False, True])
+    def test_sweep_writes_nothing_once_no_entry_is_live(
+        self, monkeypatch, chunk, threshold_diagonal
+    ):
+        # Every entry is at or below its threshold from about 4.5 on, and
+        # at most 62 values share a batch, so the last values of the grid
+        # are yielded without a write.  With 200 entry-values a chunk, the
+        # live set is compacted between batches of 2 to 16 values.
+        monkeypatch.setattr(tuning, "_SWEEP_CHUNK", chunk)
+        n = 50
+        gamma = boundary_covariance(0.7, n, 3.7, seed=9)
+        grid = np.linspace(0.0, 60.0, 200)
+        writes = []
+        live = _live_entries(gamma.shape[0], threshold_diagonal)
+        steps = _sweep(
+            gamma, _entry_scale(gamma, n), grid, ThresholdRule.scad(3.7), live,
+            lambda idx, values: writes.append(idx.copy()),
+        )
+        counts = []
+        for _ in steps:
+            counts.append(len(writes))
+        assert len(counts) == grid.size
+        assert all(idx.size and np.all(np.diff(idx) > 0) for idx in writes)
+        assert counts[-2] == counts[-1] == len(writes)
 
     @pytest.mark.parametrize("rule", KERNEL_RULES, ids=ThresholdRule.spec)
     @given(

@@ -28,7 +28,7 @@ from rcec import (
     spectral_loss,
     threshold_matrix,
 )
-from rcec import mom, parallel, tuning
+from rcec import mom, parallel, threshold, tuning
 from rcec.tuning import PD_TOL, _is_pd, _parse_kv, _subset_covariance, pd_floor_scan
 
 
@@ -907,3 +907,19 @@ class TestEstimatePipeline:
         x = _composition(case=1, n=8, p=6, seed=0)
         with pytest.raises(ValueError, match="n >= 2"):
             estimate(x, EstimatorConfig(folds=5))
+
+    def test_a_benchmark_cell_thresholds_in_few_calls(self, monkeypatch):
+        # One fit of the benchmark's coat SCAD cells at p = 100: the PD scan
+        # and the five CV folds batch their grid values once few entries
+        # stay live, so the rule runs 35 times, not once per value.
+        monkeypatch.setenv(parallel.THREADS_ENV, "1")
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return threshold._apply(*args)
+
+        monkeypatch.setattr(tuning, "_apply", spy)
+        x = basis_to_composition(sample_case(1, 100, 100, seed=0))
+        estimate(x, EstimatorConfig(estimator="coat", rule=ThresholdRule.scad(3.7)))
+        assert len(calls) == 35
