@@ -10,6 +10,10 @@ Cross-validation compares, per fold, the thresholded covariance fitted on
 the complement against the un-thresholded covariance of the held-out fold in
 squared Frobenius norm, averaged over folds.  Ties in the CV curve resolve
 toward the largest (sparsest) candidate.
+
+The PD scan and every CV fold threshold one covariance at the whole grid
+through :func:`rcec.threshold._sweep`, which owns which entries change at
+which value.
 """
 
 from __future__ import annotations
@@ -25,9 +29,10 @@ from .mom import _check_L, default_block_count, mom_covariance, sample_covarianc
 from .parallel import one_blas_thread, split_work
 from .threshold import (
     ThresholdRule,
-    _apply,
     _clamp_notes,
     _entry_scale,
+    _live_entries,
+    _sweep,
     threshold_matrix,
 )
 
@@ -229,86 +234,6 @@ def _as_grid(grid) -> np.ndarray:
     return grid
 
 
-# Entry-values a sweep thresholds in one call: live entries of one grid
-# value, or live entries times the grid values of one batch.  Its per-step
-# arrays then stay in cache: at p = 400, 8192 ran the CV sweeps about 4%
-# faster than one chunk of every entry, and about as fast as 16384.  As a
-# batch budget, on 2 vCPUs, 4096 ran the benchmark's p = 100 coat SCAD fits
-# as fast (11.2 ms a fit), while 32768 made them 11% slower and 131072 2.6
-# times slower: the live set shrinks inside a batch, and its dead entries
-# are still thresholded.
-_SWEEP_CHUNK = 8192
-
-
-def _live_entries(p: int, threshold_diagonal: bool) -> np.ndarray:
-    # The flat indices of the p x p entries that thresholding changes.
-    live = np.arange(p * p)
-    if not threshold_diagonal:
-        live = np.delete(live, np.s_[:: p + 1])
-    return live
-
-
-def _sweep(arr, scale, grid, rule: ThresholdRule, live, write):
-    # The estimate at every grid value, as writes of the entries that can
-    # still change.  Walks the grid in increasing order; at each value it
-    # calls write(idx, values), idx flat indices in increasing order (valid
-    # during the call only) and values their thresholded values (a new array
-    # from _apply, or a row of one, that write may scribble on), then yields
-    # the grid index.  live starts as _live_entries; z and the scale are
-    # gathered from the full arrays.  An entry at or below its threshold is
-    # zero, with the same bits, at every larger value, so it is then
-    # dropped, compacting live in place; a NaN threshold keeps it live.
-    #
-    # While more than half a chunk is live, each value thresholds the live
-    # entries in chunks of at most _SWEEP_CHUNK and drops entries after it.
-    # Once fewer are, one _apply call thresholds the next _SWEEP_CHUNK //
-    # count values at once on a (values, count) array, and live is compacted
-    # after the batch by its last value.  Every value of a batch writes all
-    # the entries live at the batch start, so an entry that died earlier in
-    # the batch is written again with the zero it already holds.  When no
-    # entry is live, write is not called.  The rules are elementwise, so
-    # chunks and batches change no bits.  The covariance and the grid are
-    # validated.
-    flat_z, flat_scale = arr.reshape(-1), scale.reshape(-1)
-    order = np.argsort(grid, kind="stable")
-    count = live.size
-    start = 0
-    while start < order.size:
-        if not count:
-            yield from order[start:]
-            return
-        size = _SWEEP_CHUNK // count
-        if size < 2:
-            g = order[start]
-            start += 1
-            kept = 0
-            for first in range(0, count, _SWEEP_CHUNK):
-                idx = live[first : min(first + _SWEEP_CHUNK, count)]
-                z = flat_z[idx]
-                t = np.multiply(grid[g], flat_scale[idx])
-                absz = np.abs(z)
-                write(idx, _apply(rule, z, absz, t))
-                keep = idx[np.logical_not(np.less_equal(absz, t))]
-                live[kept : kept + keep.size] = keep
-                kept += keep.size
-            count = kept
-            yield g
-            continue
-        batch = order[start : start + size]
-        start += size
-        idx = live[:count]
-        z = flat_z[idx]
-        t = np.multiply(grid[batch][:, None], flat_scale[idx])
-        absz = np.abs(z)
-        values = _apply(rule, np.broadcast_to(z, t.shape), np.broadcast_to(absz, t.shape), t)
-        for g, row in zip(batch, values):
-            write(idx, row)
-            yield g
-        keep = idx[np.logical_not(np.less_equal(absz, t[-1]))]
-        live[: keep.size] = keep
-        count = keep.size
-
-
 def make_folds(n: int, folds: int, seed: int) -> list:
     """Shuffle sample indices with a seeded generator and split into
     ``folds`` contiguous chunks of near-equal size (larger chunks first).
@@ -371,11 +296,11 @@ def cv_select(W, config: EstimatorConfig, *, grid=None):
 
     Notes
     -----
-    Each fold sweeps the grid in increasing order and rethresholds only
-    the entries not yet zeroed, rewriting their squared errors in one
-    p x p array that is then summed whole; a grid given unsorted or with
-    repeats is swept sorted and scored back in its own order.  The curve
-    is the same bits as thresholding the whole matrix at every value.
+    Each fold sweeps the grid with :func:`rcec.threshold._sweep`, rewriting
+    the squared errors of the entries it writes in one p x p array that is
+    then summed whole; a grid given unsorted or with repeats is scored back
+    in its own order.  The curve is the same bits as thresholding the whole
+    matrix at every value.
     """
     values = _as_matrix(W, "data matrix")
     n = values.shape[0]
@@ -459,16 +384,16 @@ def pd_floor_scan(gamma, grid, n: int, config: EstimatorConfig):
     The values are decided independently, so the scan deals the sorted
     grid out round-robin over :func:`~rcec.parallel.split_work`: of ``T``
     threads, thread ``k`` takes sorted positions ``k, k + T, ...``.  Each
-    thread sweeps its own values in increasing order on its own estimate,
-    rewriting only the entries not yet zeroed, and decides each value with
-    :func:`_is_pd` on its own workspace.  A sweep over any subsequence
-    rebuilds the same matrix at each value as thresholding the whole matrix
-    does, so the decisions, the restricted grid and the notes do not depend
-    on ``T``.  Each thread gets at least ``_SCAN_THREAD_P`` of p, so the
-    scan splits from p = 150.  Each thread holds a p x p estimate, a p x p
-    workspace and its live indices, allocated on the calling thread; a
-    helper thread's last Cholesky calls leave two p x p buffers free in its
-    allocator arena (about 3 MB at p = 400, 16-19 MB at p = 1000).
+    thread sweeps its own values with :func:`rcec.threshold._sweep` on its
+    own estimate and decides each value with :func:`_is_pd` on its own
+    workspace.  A sweep over any subsequence rebuilds the same matrix at
+    each value as thresholding the whole matrix does, so the decisions, the
+    restricted grid and the notes do not depend on ``T``.  Each thread gets
+    at least ``_SCAN_THREAD_P`` of p, so the scan splits from p = 150.  Each
+    thread holds a p x p estimate, a p x p workspace and its live indices,
+    allocated on the calling thread; a helper thread's last Cholesky calls
+    leave two p x p buffers free in its allocator arena (about 3 MB at
+    p = 400, 16-19 MB at p = 1000).
     """
     arr = _as_matrix(gamma, "covariance", square=True)
     grid = _as_grid(grid)

@@ -154,14 +154,14 @@ class TestProcessFanOut:
         # Two cells on two workers; the patch reaches them through the fork.
         monkeypatch.setenv(THREADS_ENV, "2")
         failing_seed = bench._cell_seeds(0, 1, 8, 1)[1]
-        original = bench.estimate
+        original = bench.estimate_from_latent
 
-        def estimate(x, cfg):
+        def estimate_from_latent(w, cfg):
             if cfg.seed == failing_seed:
                 raise error(f"cell failed in process {os.getpid()}")
-            return original(x, cfg)
+            return original(w, cfg)
 
-        monkeypatch.setattr(bench, "estimate", estimate)
+        monkeypatch.setattr(bench, "estimate_from_latent", estimate_from_latent)
         argv = [
             "benchmark", "--cases", "1", "--p", "8", "--n", "40", "--replications", "2",
             "--estimators", "rcec", "--grid-size", "6", "--seed", "0",

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from rcec import ThresholdRule, apply_rule, threshold_matrix
-from rcec.threshold import _apply, _entry_scale
-from rcec import tuning
-from rcec.tuning import _live_entries, _sweep
+from rcec import threshold
+from rcec.threshold import _apply, _entry_scale, _live_entries, _sweep
 
 RULES = [
     ThresholdRule.soft(),
@@ -394,8 +393,8 @@ def check_sweep(rule, threshold_diagonal):
             dead = np.abs(gamma.reshape(-1)) <= previous * scale.reshape(-1)
         expected_live = entries[~dead[entries]]
         sizes = [chunk.size for chunk in chunks]
-        assert all(size == tuning._SWEEP_CHUNK for size in sizes[:-1])
-        assert sizes == [] or 0 < sizes[-1] <= tuning._SWEEP_CHUNK
+        assert all(size == threshold._SWEEP_CHUNK for size in sizes[:-1])
+        assert sizes == [] or 0 < sizes[-1] <= threshold._SWEEP_CHUNK
         written = np.concatenate(chunks or [entries[:0]])
         assert np.all(np.diff(written) > 0)
         assert np.isin(expected_live, written).all()
@@ -432,7 +431,7 @@ class TestKernelMatchesReference:
         self, monkeypatch, rule, threshold_diagonal
     ):
         # Seven entries a chunk put chunk edges mid-row and mid-array.
-        monkeypatch.setattr(tuning, "_SWEEP_CHUNK", 7)
+        monkeypatch.setattr(threshold, "_SWEEP_CHUNK", 7)
         check_sweep(rule, threshold_diagonal)
 
     @pytest.mark.parametrize("rule", KERNEL_RULES, ids=ThresholdRule.spec)
@@ -448,8 +447,8 @@ class TestKernelMatchesReference:
             shapes.append(t.shape)
             return _apply(rule, z, absz, t)
 
-        monkeypatch.setattr(tuning, "_SWEEP_CHUNK", 200)
-        monkeypatch.setattr(tuning, "_apply", spy)
+        monkeypatch.setattr(threshold, "_SWEEP_CHUNK", 200)
+        monkeypatch.setattr(threshold, "_apply", spy)
         check_sweep(rule, threshold_diagonal)
         assert len(shapes[0]) == 1 and len(shapes[-1]) == 2
 
@@ -462,7 +461,7 @@ class TestKernelMatchesReference:
         # at most 62 values share a batch, so the last values of the grid
         # are yielded without a write.  With 200 entry-values a chunk, the
         # live set is compacted between batches of 2 to 16 values.
-        monkeypatch.setattr(tuning, "_SWEEP_CHUNK", chunk)
+        monkeypatch.setattr(threshold, "_SWEEP_CHUNK", chunk)
         n = 50
         gamma = boundary_covariance(0.7, n, 3.7, seed=9)
         grid = np.linspace(0.0, 60.0, 200)

@@ -911,15 +911,17 @@ class TestEstimatePipeline:
     def test_a_benchmark_cell_thresholds_in_few_calls(self, monkeypatch):
         # One fit of the benchmark's coat SCAD cells at p = 100: the PD scan
         # and the five CV folds batch their grid values once few entries
-        # stay live, so the rule runs 35 times, not once per value.
+        # stay live, so their sweeps run the rule 35 times, not once per
+        # value, and the final threshold_matrix runs it once more.
         monkeypatch.setenv(parallel.THREADS_ENV, "1")
         calls = []
+        apply = threshold._apply
 
         def spy(*args):
             calls.append(args)
-            return threshold._apply(*args)
+            return apply(*args)
 
-        monkeypatch.setattr(tuning, "_apply", spy)
+        monkeypatch.setattr(threshold, "_apply", spy)
         x = basis_to_composition(sample_case(1, 100, 100, seed=0))
         estimate(x, EstimatorConfig(estimator="coat", rule=ThresholdRule.scad(3.7)))
-        assert len(calls) == 35
+        assert len(calls) == 36
